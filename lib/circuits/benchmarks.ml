@@ -31,4 +31,10 @@ let circuit name =
        Random_logic.generate ~name ~seed:(seed_of_name name) ~inputs:p.published_inputs
          ~gates:p.published_gates ())
 
+let find name =
+  try Ok (circuit name)
+  with Not_found ->
+    Error
+      (Printf.sprintf "unknown benchmark %S (known: %s)" name (String.concat ", " names))
+
 let small_suite = [ "c432"; "c499"; "c880"; "c1355"; "c1908" ]

@@ -23,5 +23,9 @@ val circuit : string -> Standby_netlist.Netlist.t
 
 val names : string list
 
+val find : string -> (Standby_netlist.Netlist.t, string) result
+(** {!circuit}, with an unknown name answered by an error that lists
+    {!names}. *)
+
 val small_suite : string list
 (** The subset small enough for quick tests and examples. *)

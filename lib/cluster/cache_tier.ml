@@ -13,7 +13,11 @@ let m_peer_errors =
    that restarts is exactly the kind of stale state this layer must not
    accumulate. *)
 let with_peer ~connect_timeout_s peer f =
-  match Client.connect ~connect_timeout_s peer with
+  match Client.with_connection ~connect_timeout_s peer f with
+  | Ok (Some _ as answer) -> answer
+  | Ok None ->
+    Metrics.incr m_peer_errors;
+    None
   | Error e ->
     Metrics.incr m_peer_errors;
     Log.debug "peer unreachable"
@@ -23,13 +27,6 @@ let with_peer ~connect_timeout_s peer f =
           Log.str "error" (Client.error_message e);
         ];
     None
-  | Ok client ->
-    Fun.protect ~finally:(fun () -> Client.close client) (fun () ->
-        match f client with
-        | Some _ as answer -> answer
-        | None ->
-          Metrics.incr m_peer_errors;
-          None)
 
 let fetch ~connect_timeout_s ~peers ~key =
   (* First peer that answers wins; a miss from one peer still asks the

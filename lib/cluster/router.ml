@@ -1,11 +1,8 @@
 module Protocol = Standby_server.Protocol
 module Client = Standby_server.Client
-module Server = Standby_server.Server
+module Listener = Standby_server.Listener
 module Cache_key = Standby_service.Cache_key
-module Bench_io = Standby_netlist.Bench_io
 module Process = Standby_device.Process
-module Benchmarks = Standby_circuits.Benchmarks
-module Timer = Standby_util.Timer
 module Telemetry = Standby_telemetry.Telemetry
 module Metrics = Standby_telemetry.Metrics
 module Log = Standby_telemetry.Log
@@ -35,6 +32,11 @@ let m_stats_scrapes =
 let m_progress_forwarded =
   Metrics.counter Metrics.default "cluster.progress_forwarded"
     ~help:"Progress frames relayed from a backend to the requesting client"
+let m_connections =
+  Metrics.counter Metrics.default "cluster.connections" ~help:"Client connections accepted"
+let m_protocol_errors =
+  Metrics.counter Metrics.default "cluster.protocol_errors"
+    ~help:"Client frames that failed to parse or validate"
 let g_live_backends =
   Metrics.gauge Metrics.default "cluster.live_backends"
     ~help:"Backends currently assignable and not down"
@@ -58,35 +60,17 @@ let default_config ~listen ~backends =
     max_frame_bytes = Protocol.Frame.default_max_bytes;
   }
 
-(* Per-client-connection state, mirroring the daemon's: several routing
-   threads can finish concurrently, so response writes serialize on the
-   connection's mutex. *)
-type conn = {
-  fd : Unix.file_descr;
-  alive : bool Atomic.t;
-  closed : bool Atomic.t;
-  write_mutex : Mutex.t;
-  peer : string;
-}
-
 type t = {
   config : config;
-  listen_fd : Unix.file_descr;
+  listener : Listener.t;
   ring : Ring.t;  (* static over the configured fleet; health filters it *)
   fleet : (string * Health.t) list;  (* address string -> health, fixed order *)
   fleet_mutex : Mutex.t;  (* guards every Health.t mutation *)
-  draining_flag : bool Atomic.t;
-  mutex : Mutex.t;  (* accept-side: counters, conns, idle *)
-  idle : Condition.t;
-  mutable in_flight : int;
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable conns : conn list;
-  started : Timer.t;
 }
 
-let draining t = Atomic.get t.draining_flag
-let request_drain t = Atomic.set t.draining_flag true
+(* The lifecycle entry points belong to the listener. *)
+let request_drain t = Listener.request_drain t.listener
+and install_signal_handlers t = Listener.install_signal_handlers t.listener
 
 let create config =
   if config.backends = [] then Error "router needs at least one --backend"
@@ -97,13 +81,11 @@ let create config =
     if List.length distinct <> List.length names then
       Error "duplicate backend address"
     else
-      match Server.listen config.listen with
-      | Error _ as e -> e
-      | Ok listen_fd ->
-        Ok
+      Result.map
+        (fun listener ->
           {
             config;
-            listen_fd;
+            listener;
             ring = Ring.create ~vnodes:config.vnodes names;
             fleet =
               List.map2
@@ -111,21 +93,10 @@ let create config =
                   (name, Health.create ~probe_interval_s:config.probe_interval_s ~name address))
                 names config.backends;
             fleet_mutex = Mutex.create ();
-            draining_flag = Atomic.make false;
-            mutex = Mutex.create ();
-            idle = Condition.create ();
-            in_flight = 0;
-            accepted = 0;
-            rejected = 0;
-            conns = [];
-            started = Timer.unlimited ();
-          }
-
-let install_signal_handlers t =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let drain _ = request_drain t in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle drain)
+          })
+        (Listener.create ~name:"router" ~connections:m_connections
+           ~protocol_errors:m_protocol_errors ~max_frame_bytes:config.max_frame_bytes
+           config.listen)
 
 let with_fleet t f =
   Mutex.lock t.fleet_mutex;
@@ -161,25 +132,9 @@ let status t =
         | Some a, Some b -> Some (Float.min a b))
       None backends
   in
-  Mutex.lock t.mutex;
-  let payload =
-    {
-      Protocol.draining = draining t;
-      accepted = t.accepted;
-      rejected = t.rejected;
-      in_flight = t.in_flight;
-      queue_depth = t.in_flight;
-      incumbent_a;
-      (* The router itself does not bound admission — backends do, and
-         their rejections propagate. *)
-      capacity = 0;
-      workers = live;
-      uptime_s = Timer.elapsed_s t.started;
-      backends;
-    }
-  in
-  Mutex.unlock t.mutex;
-  payload
+  (* The router itself does not bound admission — backends do, and
+     their rejections propagate. *)
+  Listener.status t.listener ~capacity:0 ~workers:live ~incumbent_a ~backends
 
 let drain_backend t name =
   with_fleet t (fun () ->
@@ -194,50 +149,17 @@ let drain_backend t name =
         Ok ())
 
 (* ------------------------------------------------------------------ *)
-(* Responses to the client                                              *)
-
-let send conn response =
-  Mutex.lock conn.write_mutex;
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock conn.write_mutex)
-      (fun () ->
-        if Atomic.get conn.alive then
-          Protocol.Frame.write conn.fd (Json.to_string (Protocol.response_to_json response))
-        else Error "connection closed")
-  in
-  match outcome with
-  | Ok () -> true
-  | Error msg ->
-    if Atomic.get conn.alive then begin
-      Atomic.set conn.alive false;
-      Log.debug "client write failed"
-        ~fields:[ Log.str "peer" conn.peer; Log.str "error" msg ]
-    end;
-    false
-
-(* ------------------------------------------------------------------ *)
 (* Routing                                                              *)
 
 (* The routing key is the same content digest the result stores use, so
    the ring sends every repetition of a job to the backend whose cache
    already holds it. *)
 let digest_of_optimize (o : Protocol.optimize) =
-  match
-    match o.Protocol.source with
-    | Protocol.Circuit name -> (
-      try Ok (Benchmarks.circuit name)
-      with Not_found ->
-        Error
-          (Printf.sprintf "unknown benchmark %S (known: %s)" name
-             (String.concat ", " Benchmarks.names)))
-    | Protocol.Bench { name; text } -> Bench_io.of_string ~name text
-  with
-  | Error _ as e -> e
-  | Ok net ->
-    Ok
-      (Cache_key.digest ~net ~process:Process.default ~mode:o.Protocol.mode
-         ~penalty:o.Protocol.penalty ~method_:o.Protocol.method_)
+  Result.map
+    (fun net ->
+      Cache_key.digest ~net ~process:Process.default ~mode:o.Protocol.mode
+        ~penalty:o.Protocol.penalty ~method_:o.Protocol.method_)
+    (Protocol.netlist_of_source o.Protocol.source)
 
 (* Replica walk for [key]: assignable backends in ring order, the ones
    worth trying first (up, not backpressured) ahead of the last resorts
@@ -268,19 +190,15 @@ type attempt =
    caller's trace context rides downstream on the frame so the
    backend's spans join the same trace. *)
 let attempt_on t conn request backend =
+  let failed = function
+    | Client.Unavailable msg -> Unavailable msg
+    | e -> Fatal (Client.error_message e)
+  in
   match
-    Client.connect ~connect_timeout_s:t.config.connect_timeout_s
-      ~max_frame_bytes:t.config.max_frame_bytes (Health.address backend)
-  with
-  | Error (Client.Unavailable msg) -> Unavailable msg
-  | Error e -> Fatal (Client.error_message e)
-  | Ok client ->
-    Fun.protect
-      ~finally:(fun () -> Client.close client)
-      (fun () ->
+    Client.with_connection ~connect_timeout_s:t.config.connect_timeout_s
+      ~max_frame_bytes:t.config.max_frame_bytes (Health.address backend) (fun client ->
         match Client.send ?trace:(Telemetry.current_context ()) client request with
-        | Error (Client.Unavailable msg) -> Unavailable msg
-        | Error e -> Fatal (Client.error_message e)
+        | Error e -> failed e
         | Ok () ->
           let rec await () =
             match Client.recv client with
@@ -288,15 +206,17 @@ let attempt_on t conn request backend =
               Metrics.incr m_progress_forwarded;
               (* A client that went away mid-stream does not abort the
                  backend run; [send] just stops delivering. *)
-              ignore (send conn frame);
+              Listener.send conn frame;
               await ()
             | Ok (Protocol.Rejected { reason; retry_after_s; _ }) ->
               Rejected_by { reason; retry_after_s }
             | Ok response -> Answered response
-            | Error (Client.Unavailable msg) -> Unavailable msg
-            | Error e -> Fatal (Client.error_message e)
+            | Error e -> failed e
           in
           await ())
+  with
+  | Ok attempt -> attempt
+  | Error e -> failed e
 
 (* Walk the replica order until a backend answers.  Returns the final
    verdict; health bookkeeping happens as each attempt resolves. *)
@@ -346,29 +266,18 @@ let route_request t conn ~key request =
   in
   walk 0 None backends
 
-let route_optimize t conn trace (o : Protocol.optimize) =
-  let finish () =
-    Mutex.lock t.mutex;
-    t.in_flight <- t.in_flight - 1;
-    if t.in_flight = 0 then Condition.broadcast t.idle;
-    Mutex.unlock t.mutex
-  in
+let route_optimize t conn ~trace (o : Protocol.optimize) =
   (* Join the client's trace when the frame carried one: the
      [cluster.route] span below parents to the client's span, and
      [attempt_on] forwards the freshened context to the backend. *)
-  let in_context f =
-    match trace with None -> f () | Some ctx -> Telemetry.with_context ctx f
-  in
-  Fun.protect ~finally:finish (fun () ->
-      in_context @@ fun () ->
+  Listener.serve_admitted t.listener ~trace (fun () ->
       Telemetry.span "cluster.route"
         ~fields:[ ("id", Json.String o.Protocol.id) ]
         (fun () ->
           match digest_of_optimize o with
           | Error message ->
             Telemetry.add_fields [ ("error", Json.String message) ];
-            ignore
-              (send conn (Protocol.Error_response { id = Some o.Protocol.id; message }))
+            Listener.send conn (Protocol.Error_response { id = Some o.Protocol.id; message })
           | Ok key -> (
             Telemetry.add_fields [ ("key", Json.String key) ];
             Metrics.incr m_routes;
@@ -377,37 +286,30 @@ let route_optimize t conn trace (o : Protocol.optimize) =
               Telemetry.add_fields [ ("backend", Json.String backend) ];
               (* Forward verbatim: the router adds routing, never
                  rewrites results. *)
-              ignore (send conn response)
+              Listener.send conn response
             | `Fatal (message, backend) ->
               Telemetry.add_fields
                 [ ("error", Json.String message); ("backend", Json.String backend) ];
-              ignore
-                (send conn
-                   (Protocol.Error_response
-                      {
-                        id = Some o.Protocol.id;
-                        message = Printf.sprintf "backend %s: %s" backend message;
-                      }))
+              Listener.send conn
+                (Protocol.Error_response
+                   {
+                     id = Some o.Protocol.id;
+                     message = Printf.sprintf "backend %s: %s" backend message;
+                   })
             | `All_rejected (reason, retry_after_s) ->
               Metrics.incr m_rejected;
-              Mutex.lock t.mutex;
-              t.rejected <- t.rejected + 1;
-              Mutex.unlock t.mutex;
-              ignore
-                (send conn
-                   (Protocol.Rejected { id = o.Protocol.id; reason; retry_after_s }))
+              Listener.count_rejected t.listener;
+              Listener.send conn
+                (Protocol.Rejected { id = o.Protocol.id; reason; retry_after_s })
             | `No_backend | `All_failed _ ->
               Metrics.incr m_unroutable;
-              Mutex.lock t.mutex;
-              t.rejected <- t.rejected + 1;
-              Mutex.unlock t.mutex;
-              ignore
-                (send conn
-                   (Protocol.Error_response
-                      {
-                        id = Some o.Protocol.id;
-                        message = "no backend available for request";
-                      })))))
+              Listener.count_rejected t.listener;
+              Listener.send conn
+                (Protocol.Error_response
+                   {
+                     id = Some o.Protocol.id;
+                     message = "no backend available for request";
+                   }))))
 
 (* Cache verbs are proxied along the same walk.  A fleet that cannot be
    reached degrades to a miss / unstored ack — the cache tier never
@@ -415,13 +317,12 @@ let route_optimize t conn trace (o : Protocol.optimize) =
 let route_cache t conn ~key request ~on_unreachable =
   Metrics.incr m_cache_proxied;
   match route_request t conn ~key request with
-  | `Answered (response, _) -> ignore (send conn response)
+  | `Answered (response, _) -> Listener.send conn response
   | `Fatal (message, backend) ->
-    ignore
-      (send conn
-         (Protocol.Error_response
-            { id = None; message = Printf.sprintf "backend %s: %s" backend message }))
-  | `No_backend | `All_failed _ | `All_rejected _ -> ignore (send conn on_unreachable)
+    Listener.send conn
+      (Protocol.Error_response
+         { id = None; message = Printf.sprintf "backend %s: %s" backend message })
+  | `No_backend | `All_failed _ | `All_rejected _ -> Listener.send conn on_unreachable
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide stats                                                     *)
@@ -440,128 +341,54 @@ let fleet_stats t =
     List.filter_map
       (fun (name, address) ->
         match
-          Client.connect
-            ~connect_timeout_s:(Float.min 2.0 t.config.connect_timeout_s)
-            ~max_frame_bytes:t.config.max_frame_bytes address
+          Result.join
+            (Client.with_connection
+               ~connect_timeout_s:(Float.min 2.0 t.config.connect_timeout_s)
+               ~max_frame_bytes:t.config.max_frame_bytes address (fun client ->
+                 Client.rpc client Protocol.Stats))
         with
+        | Ok (Protocol.Stats_reply snapshot) -> Some snapshot
+        | Ok _ ->
+          Log.debug "unexpected response to stats scrape" ~fields:[ Log.str "backend" name ];
+          None
         | Error e ->
           Log.debug "stats scrape failed"
             ~fields:[ Log.str "backend" name; Log.str "error" (Client.error_message e) ];
-          None
-        | Ok client ->
-          Fun.protect
-            ~finally:(fun () -> Client.close client)
-            (fun () ->
-              match Client.rpc client Protocol.Stats with
-              | Ok (Protocol.Stats_reply snapshot) -> Some snapshot
-              | Ok _ ->
-                Log.debug "unexpected response to stats scrape"
-                  ~fields:[ Log.str "backend" name ];
-                None
-              | Error e ->
-                Log.debug "stats scrape failed"
-                  ~fields:
-                    [ Log.str "backend" name; Log.str "error" (Client.error_message e) ];
-                None))
+          None)
       targets
   in
   Metrics.merge_snapshots snapshots
 
 (* ------------------------------------------------------------------ *)
-(* Front-side connections                                               *)
+(* Front-side requests                                                  *)
 
-let handle_request t conn json =
-  match Protocol.request_of_json json with
-  | Error message ->
-    ignore (send conn (Protocol.Error_response { id = None; message }))
-  | Ok Protocol.Status -> ignore (send conn (Protocol.Status_reply (status t)))
-  | Ok Protocol.Stats -> ignore (send conn (Protocol.Stats_reply (fleet_stats t)))
-  | Ok Protocol.Metrics ->
-    ignore
-      (send conn
-         (Protocol.Metrics_reply
-            {
-              content_type = "text/plain; version=0.0.4";
-              body = Metrics.to_prometheus Metrics.default;
-            }))
-  | Ok (Protocol.Drain { backend = None }) ->
-    Log.info "router drain requested over the wire" ~fields:[ Log.str "peer" conn.peer ];
+let handle_request t conn ~trace = function
+  | Protocol.Status -> Listener.send conn (Protocol.Status_reply (status t))
+  | Protocol.Stats -> Listener.send conn (Protocol.Stats_reply (fleet_stats t))
+  | Protocol.Metrics -> Listener.send conn (Protocol.metrics_reply Metrics.default)
+  | Protocol.Drain { backend = None } ->
+    Log.info "router drain requested over the wire"
+      ~fields:[ Log.str "peer" (Listener.peer conn) ];
     request_drain t;
-    ignore (send conn (Protocol.Status_reply (status t)))
-  | Ok (Protocol.Drain { backend = Some name }) -> (
+    Listener.send conn (Protocol.Status_reply (status t))
+  | Protocol.Drain { backend = Some name } -> (
     match drain_backend t name with
-    | Ok () -> ignore (send conn (Protocol.Status_reply (status t)))
-    | Error message -> ignore (send conn (Protocol.Error_response { id = None; message })))
-  | Ok (Protocol.Cache_get { key } as request) ->
+    | Ok () -> Listener.send conn (Protocol.Status_reply (status t))
+    | Error message ->
+      Listener.send conn (Protocol.Error_response { id = None; message }))
+  | Protocol.Cache_get { key } as request ->
     route_cache t conn ~key request ~on_unreachable:(Protocol.Cache_missing { key })
-  | Ok (Protocol.Cache_put { key; _ } as request) ->
+  | Protocol.Cache_put { key; _ } as request ->
     route_cache t conn ~key request
       ~on_unreachable:(Protocol.Cache_ack { key; stored = false })
-  | Ok (Protocol.Optimize o) ->
-    let admitted =
-      Mutex.lock t.mutex;
-      let ok = not (draining t) in
-      if ok then begin
-        t.in_flight <- t.in_flight + 1;
-        t.accepted <- t.accepted + 1
-      end
-      else t.rejected <- t.rejected + 1;
-      Mutex.unlock t.mutex;
-      ok
-    in
-    if admitted then
-      let trace = Protocol.trace_of_json json in
-      ignore (Thread.create (fun () -> route_optimize t conn trace o) ())
-    else
-      ignore
-        (send conn
-           (Protocol.Rejected
-              { id = o.Protocol.id; reason = "router draining"; retry_after_s = 5.0 }))
-
-let handle_frame t conn line =
-  match Json.of_string line with
-  | Error message ->
-    ignore (send conn (Protocol.Error_response { id = None; message }))
-  | Ok json -> handle_request t conn json
-
-let close_conn t conn =
-  Atomic.set conn.alive false;
-  Mutex.lock t.mutex;
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  Mutex.unlock t.mutex;
-  if not (Atomic.exchange conn.closed true) then begin
-    (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-let handle_conn t conn () =
-  let reader = Protocol.Frame.reader ~max_bytes:t.config.max_frame_bytes conn.fd in
-  let rec loop () =
-    match Protocol.Frame.read reader with
-    | Ok line ->
-      if line <> "" then handle_frame t conn line;
-      loop ()
-    | Error `Eof -> ()
-    | Error `Oversized ->
-      ignore
-        (send conn
-           (Protocol.Error_response
-              {
-                id = None;
-                message = Printf.sprintf "frame exceeds %d bytes" t.config.max_frame_bytes;
-              }))
-    | Error (`Error msg) ->
-      Log.debug "client read failed"
-        ~fields:[ Log.str "peer" conn.peer; Log.str "error" msg ]
-  in
-  Fun.protect ~finally:(fun () -> close_conn t conn) loop
-
-let peer_name fd =
-  match Unix.getpeername fd with
-  | Unix.ADDR_UNIX _ -> "unix"
-  | Unix.ADDR_INET (addr, port) ->
-    Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
-  | exception Unix.Unix_error _ -> "unknown"
+  | Protocol.Optimize o -> (
+    match Listener.admit t.listener with
+    | Listener.Admitted ->
+      ignore (Thread.create (fun () -> route_optimize t conn ~trace o) ())
+    | Listener.Draining | Listener.Full _ ->
+      Listener.send conn
+        (Protocol.Rejected
+           { id = o.Protocol.id; reason = "router draining"; retry_after_s = 5.0 }))
 
 (* ------------------------------------------------------------------ *)
 (* Prober                                                               *)
@@ -579,19 +406,14 @@ let probe_round t =
            backends — a probe that waits is a probe that lies about
            freshness. *)
         match
-          Client.connect
-            ~connect_timeout_s:(Float.min 2.0 t.config.connect_timeout_s)
-            (Health.address h)
+          Result.join
+            (Client.with_connection
+               ~connect_timeout_s:(Float.min 2.0 t.config.connect_timeout_s)
+               (Health.address h) (fun client -> Client.rpc client Protocol.Status))
         with
+        | Ok (Protocol.Status_reply s) -> Ok s
+        | Ok _ -> Error "unexpected response to status probe"
         | Error e -> Error (Client.error_message e)
-        | Ok client ->
-          Fun.protect
-            ~finally:(fun () -> Client.close client)
-            (fun () ->
-              match Client.rpc client Protocol.Status with
-              | Ok (Protocol.Status_reply s) -> Ok s
-              | Ok _ -> Error "unexpected response to status probe"
-              | Error e -> Error (Client.error_message e))
       in
       let now = Unix.gettimeofday () in
       with_fleet t (fun () ->
@@ -613,7 +435,7 @@ let probe_round t =
   Metrics.set_gauge g_live_backends (float_of_int (live_backends t))
 
 let prober t () =
-  while not (draining t) do
+  while not (Listener.draining t.listener) do
     probe_round t;
     (* Short fixed sleep, drain-responsive; per-backend cadence lives in
        [Health.probe_due]. *)
@@ -623,26 +445,7 @@ let prober t () =
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                            *)
 
-let accept_one t =
-  match Unix.accept t.listen_fd with
-  | fd, _ ->
-    let conn =
-      {
-        fd;
-        alive = Atomic.make true;
-        closed = Atomic.make false;
-        write_mutex = Mutex.create ();
-        peer = peer_name fd;
-      }
-    in
-    Mutex.lock t.mutex;
-    t.conns <- conn :: t.conns;
-    Mutex.unlock t.mutex;
-    ignore (Thread.create (handle_conn t conn) ())
-  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-
 let run t =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Log.info "standbyd router listening"
     ~fields:
       [
@@ -651,37 +454,5 @@ let run t =
         Log.int "vnodes" (Ring.vnodes t.ring);
       ];
   let prober_thread = Thread.create (prober t) () in
-  while not (draining t) do
-    match Unix.select [ t.listen_fd ] [] [] 0.2 with
-    | [ _ ], _, _ -> accept_one t
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.config.listen with
-   | Protocol.Unix_socket path -> (
-     try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-   | Protocol.Tcp _ -> ());
-  Mutex.lock t.mutex;
-  let backlog = t.in_flight in
-  Mutex.unlock t.mutex;
-  Log.info "router draining" ~fields:[ Log.int "in_flight" backlog ];
-  Mutex.lock t.mutex;
-  while t.in_flight > 0 do
-    Condition.wait t.idle t.mutex
-  done;
-  Mutex.unlock t.mutex;
-  Thread.join prober_thread;
-  let conns =
-    Mutex.lock t.mutex;
-    let cs = t.conns in
-    Mutex.unlock t.mutex;
-    cs
-  in
-  List.iter (fun conn -> close_conn t conn) conns;
-  Log.info "router drain complete"
-    ~fields:
-      [
-        Log.int "served" (Metrics.counter_value m_routes);
-        Log.float "uptime_s" (Timer.elapsed_s t.started);
-      ]
+  Listener.run t.listener ~handler:(handle_request t) ~on_drain:(fun () ->
+      Thread.join prober_thread)

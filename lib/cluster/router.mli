@@ -29,8 +29,7 @@
     {b Drain.}  A wire [drain] naming a backend stops new assignments to
     it and removes it once both the router's outstanding requests on it
     and its own observed queue reach zero; [drain] with no backend (or
-    SIGTERM/SIGINT) drains the router itself — in-flight routes finish,
-    then {!run} returns.
+    SIGTERM/SIGINT) drains the router's own {!Standby_server.Listener}.
 
     Cache verbs are proxied by their digest along the same replica walk,
     so external tooling can query or seed the fleet's stores through the
@@ -54,19 +53,15 @@ val default_config :
 type t
 
 val create : config -> (t, string) result
-(** Binds the front listener (via {!Standby_server.Server.listen},
-    sharing its SO_REUSEADDR/stale-socket semantics).  Fails on an
-    empty backend list. *)
+(** Binds the front listener ({!Standby_server.Listener.listen}).
+    Fails on an empty backend list. *)
 
 val run : t -> unit
-(** Accept loop; blocks until a drain completes. *)
+(** {!Standby_server.Listener.run}; the prober is joined when it
+    returns. *)
 
 val request_drain : t -> unit
-val draining : t -> bool
-
-val drain_backend : t -> string -> (unit, string) result
-(** Administratively drain one backend by its address string. *)
+(** {!Standby_server.Listener.request_drain}. *)
 
 val install_signal_handlers : t -> unit
-
-val status : t -> Standby_server.Protocol.status_payload
+(** {!Standby_server.Listener.install_signal_handlers}. *)

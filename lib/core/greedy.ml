@@ -317,12 +317,13 @@ let run ?(seed = 0) ?(seed_candidates = 8) ?candidates ?(unblock = true)
            then begin
              Sta.assign sta id ~version:entry.Version.version ~perm:entry.Version.perm;
              Sta.update_from sta id;
-             (* Local slack is a complete post-update feasibility check:
-                the swap is the only source of timing change, every
-                perturbed path runs through this gate, and the backward
-                pass has refreshed its required times — so a budget
-                violation anywhere shows up as negative slack here. *)
-             if Sta.gate_slack sta id >= 0.0 then begin
+             (* The gate's own slack covers every path through it, but a
+                swap can also lengthen a path that bypasses it: an arrival
+                that falls can move a fanout's critical pin onto an input
+                whose drive sets a slower output slew.  Every output whose
+                arrival moved was re-timed by [update_from], so checking
+                those outputs completes the test without a full scan. *)
+             if Sta.gate_slack sta id >= 0.0 && Sta.outputs_met sta then begin
                choices.(id) <- t;
                total := !total -. (current.Version.leakage -. entry.Version.leakage);
                incr applied;

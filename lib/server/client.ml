@@ -21,32 +21,15 @@ type t = {
    to parse or validate is [Protocol_error].  Router failover keys off
    exactly this split: a dead backend is retried on the next ring
    replica, a protocol error is not hidden by rerouting. *)
-let unavailable_of_unix e = Unavailable (Unix.error_message e)
-
-let resolve address =
-  match address with
-  | Protocol.Unix_socket path -> Ok (Unix.ADDR_UNIX path, Unix.PF_UNIX)
-  | Protocol.Tcp (host, port) -> (
-    match
-      try Some (Unix.inet_addr_of_string host)
-      with Failure _ -> (
-        match Unix.gethostbyname host with
-        | { Unix.h_addr_list = [||]; _ } -> None
-        | entry -> Some entry.Unix.h_addr_list.(0)
-        | exception Not_found -> None)
-    with
-    | Some addr -> Ok (Unix.ADDR_INET (addr, port), Unix.PF_INET)
-    | None ->
-      Error
-        (Unavailable
-           (Printf.sprintf "cannot resolve %s" (Protocol.address_to_string address))))
 
 (* Non-blocking connect bounded by [connect_timeout_s], so a dead TCP
    backend costs a bounded wait instead of the kernel's multi-minute
-   SYN retry — health probes and failover depend on this bound. *)
+   SYN retry — health probes and failover depend on this bound.  Every
+   failure here is transport-level. *)
 let connect_fd fd sockaddr ~timeout_s =
   Unix.set_nonblock fd;
   let finish () = Unix.clear_nonblock fd in
+  let timed_out () = Error (Printf.sprintf "connect timed out after %.1f s" timeout_s) in
   match Unix.connect fd sockaddr with
   | () ->
     finish ();
@@ -56,9 +39,7 @@ let connect_fd fd sockaddr ~timeout_s =
     let deadline = Unix.gettimeofday () +. timeout_s in
     let rec await () =
       let remaining = deadline -. Unix.gettimeofday () in
-      if remaining <= 0.0 then
-        Error
-          (Unavailable (Printf.sprintf "connect timed out after %.1f s" timeout_s))
+      if remaining <= 0.0 then timed_out ()
       else
         match Unix.select [] [ fd ] [] remaining with
         | _, [ _ ], _ -> (
@@ -66,33 +47,27 @@ let connect_fd fd sockaddr ~timeout_s =
           | None ->
             finish ();
             Ok ()
-          | Some e -> Error (unavailable_of_unix e))
-        | _ ->
-          Error
-            (Unavailable (Printf.sprintf "connect timed out after %.1f s" timeout_s))
+          | Some e -> Error (Unix.error_message e))
+        | _ -> timed_out ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
     in
     await ())
-  | exception Unix.Unix_error (e, _, _) -> Error (unavailable_of_unix e)
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let connect ?(connect_timeout_s = 10.0) ?max_frame_bytes address =
-  match resolve address with
-  | Error _ as e -> e
+  match Protocol.sockaddr_of_address address with
+  | Error msg -> Error (Unavailable msg)
   | Ok (sockaddr, domain) -> (
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     (try Unix.set_close_on_exec fd with Unix.Unix_error _ -> ());
     match connect_fd fd sockaddr ~timeout_s:connect_timeout_s with
     | Ok () ->
       Ok { fd; reader = Protocol.Frame.reader ?max_bytes:max_frame_bytes fd; closed = false }
-    | Error e ->
+    | Error msg ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error
-        (match e with
-         | Unavailable msg ->
-           Unavailable
-             (Printf.sprintf "cannot connect to %s: %s"
-                (Protocol.address_to_string address) msg)
-         | other -> other))
+        (Unavailable
+           (Printf.sprintf "cannot connect to %s: %s" (Protocol.address_to_string address) msg)))
 
 let send ?trace t request =
   if t.closed then Error Closed
@@ -123,3 +98,8 @@ let close t =
     (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
+
+let with_connection ?connect_timeout_s ?max_frame_bytes address f =
+  Result.map
+    (fun t -> Fun.protect ~finally:(fun () -> close t) (fun () -> f t))
+    (connect ?connect_timeout_s ?max_frame_bytes address)

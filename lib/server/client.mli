@@ -54,3 +54,12 @@ val rpc :
 
 val close : t -> unit
 (** Idempotent. *)
+
+val with_connection :
+  ?connect_timeout_s:float ->
+  ?max_frame_bytes:int ->
+  Protocol.address ->
+  (t -> 'a) ->
+  ('a, error) result
+(** {!connect}, run the function on the connection, and {!close} it
+    however the function returns.  A failed dial is the [Error]. *)

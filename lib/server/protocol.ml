@@ -38,10 +38,29 @@ let address_to_string = function
   | Unix_socket path -> "unix:" ^ path
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
 
+let sockaddr_of_address address =
+  match address with
+  | Unix_socket path -> Ok (Unix.ADDR_UNIX path, Unix.PF_UNIX)
+  | Tcp (host, port) -> (
+    match
+      try Some (Unix.inet_addr_of_string host)
+      with Failure _ -> (
+        match Unix.gethostbyname host with
+        | { Unix.h_addr_list = [||]; _ } -> None
+        | entry -> Some entry.Unix.h_addr_list.(0)
+        | exception Not_found -> None)
+    with
+    | Some addr -> Ok (Unix.ADDR_INET (addr, port), Unix.PF_INET)
+    | None -> Error (Printf.sprintf "cannot resolve %s" (address_to_string address)))
+
 (* ------------------------------------------------------------------ *)
 (* Records                                                              *)
 
 type source = Circuit of string | Bench of { name : string; text : string }
+
+let netlist_of_source = function
+  | Circuit name -> Standby_circuits.Benchmarks.find name
+  | Bench { name; text } -> Standby_netlist.Bench_io.of_string ~name text
 
 type optimize = {
   id : string;
@@ -125,6 +144,10 @@ type response =
   | Cache_ack of { key : string; stored : bool }
 
 let is_terminal = function Progress _ -> false | _ -> true
+
+let metrics_reply registry =
+  Metrics_reply
+    { content_type = "text/plain; version=0.0.4"; body = Metrics.to_prometheus registry }
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                             *)

@@ -32,6 +32,10 @@ val address_of_string : string -> (address, string) result
 
 val address_to_string : address -> string
 
+val sockaddr_of_address : address -> (Unix.sockaddr * Unix.socket_domain, string) result
+(** Resolve a TCP host (dotted quad or name lookup); the shared step of
+    dialing ({!Client}) and listening ({!Listener}). *)
+
 val version : int
 (** The newest protocol version this build speaks (2). *)
 
@@ -41,6 +45,10 @@ val min_version : int
 type source =
   | Circuit of string  (** A {!Standby_circuits.Benchmarks} name. *)
   | Bench of { name : string; text : string }  (** Inline [.bench] netlist. *)
+
+val netlist_of_source : source -> (Standby_netlist.Netlist.t, string) result
+(** The netlist a request names: a built-in benchmark or the inline
+    text parsed.  The daemon and the router resolve sources only here. *)
 
 type optimize = {
   id : string;  (** Client-chosen; echoed on the response. *)
@@ -158,6 +166,9 @@ type response =
 val is_terminal : response -> bool
 (** [false] only for {!Progress}: whether this frame finishes the
     request it answers. *)
+
+val metrics_reply : Standby_telemetry.Metrics.t -> response
+(** The METRICS answer: the registry's Prometheus text exposition. *)
 
 val request_to_json :
   ?trace:Standby_telemetry.Telemetry.context -> request -> Standby_telemetry.Json.t

@@ -3,10 +3,7 @@ module Engine = Standby_service.Engine
 module Job = Standby_service.Job
 module Manifest = Standby_service.Manifest
 module Result_store = Standby_service.Result_store
-module Bench_io = Standby_netlist.Bench_io
-module Netlist = Standby_netlist.Netlist
 module Process = Standby_device.Process
-module Benchmarks = Standby_circuits.Benchmarks
 module Optimizer = Standby_opt.Optimizer
 module State_tree = Standby_opt.State_tree
 module Evaluate = Standby_power.Evaluate
@@ -68,212 +65,80 @@ let default_config address =
     max_frame_bytes = Protocol.Frame.default_max_bytes;
   }
 
-(* Per-connection state.  [alive] doubles as the cancellation poll for
-   every job admitted on this connection. *)
-type conn = {
-  fd : Unix.file_descr;
-  alive : bool Atomic.t;
-  closed : bool Atomic.t;  (* fd released — guards against double close *)
-  write_mutex : Mutex.t;
-  peer : string;
-}
-
 type t = {
   config : config;
-  listen_fd : Unix.file_descr;
+  listener : Listener.t;
   pool : Pool.t;
   libraries : Job.Library_cache.t;
-  draining_flag : bool Atomic.t;
-  mutex : Mutex.t;
-  idle : Condition.t;  (* in_flight fell to 0 *)
-  mutable in_flight : int;
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable conns : conn list;
-  started : Timer.t;
   (* Latest incumbent leakage seen by any job, NaN before the first
      improvement — atomically published so STATUS never takes the
      admission mutex against a running search. *)
   last_incumbent : float Atomic.t;
 }
 
-let address t = t.config.address
-
-let draining t = Atomic.get t.draining_flag
-
-let request_drain t = Atomic.set t.draining_flag true
-
-(* ------------------------------------------------------------------ *)
-(* Setup                                                                *)
-
-let bind_listener address =
-  let fd, sockaddr =
-    match address with
-    | Protocol.Unix_socket path ->
-      (* Replace a stale socket file from a previous (crashed) daemon;
-         refuse to clobber anything that is not a socket. *)
-      (match Unix.lstat path with
-       | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-       | _ -> raise (Sys_error (Printf.sprintf "%s exists and is not a socket" path))
-       | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX path)
-    | Protocol.Tcp (host, port) ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = [||]; _ } ->
-            raise (Sys_error (Printf.sprintf "cannot resolve host %s" host))
-          | entry -> entry.Unix.h_addr_list.(0)
-          | exception Not_found ->
-            raise (Sys_error (Printf.sprintf "cannot resolve host %s" host)))
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (* Without SO_REUSEADDR a restarted daemon would fight the TIME_WAIT
-         remnants of its predecessor's connections and lose with
-         EADDRINUSE for up to two MSLs. *)
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      (fd, Unix.ADDR_INET (addr, port))
-  in
-  (* The socket exists but is not yet listening: any failure from here on
-     must release the descriptor, or a retrying caller leaks one fd per
-     attempt. *)
-  (try
-     Unix.set_close_on_exec fd;
-     Unix.bind fd sockaddr;
-     Unix.listen fd 128
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
-
-let listen address =
-  match bind_listener address with
-  | fd -> Ok fd
-  | exception Sys_error msg -> Error msg
-  | exception Unix.Unix_error (e, _, _) ->
-    Error
-      (Printf.sprintf "cannot listen on %s: %s"
-         (Protocol.address_to_string address)
-         (Unix.error_message e))
+(* The lifecycle entry points belong to the listener. *)
+let request_drain t = Listener.request_drain t.listener
+and install_signal_handlers t = Listener.install_signal_handlers t.listener
 
 let create ?libraries config =
   if config.capacity < 1 then Error "server capacity must be at least 1"
   else
-    match listen config.address with
-    | Error _ as e -> e
-    | Ok listen_fd ->
-      Ok
+    Result.map
+      (fun listener ->
         {
           config;
-          listen_fd;
+          listener;
           pool = Pool.create ?workers:config.workers ();
           libraries =
             (match libraries with Some l -> l | None -> Job.Library_cache.create ());
-          draining_flag = Atomic.make false;
-          mutex = Mutex.create ();
-          idle = Condition.create ();
-          in_flight = 0;
-          accepted = 0;
-          rejected = 0;
-          conns = [];
-          started = Timer.unlimited ();
           last_incumbent = Atomic.make Float.nan;
-        }
-
-let install_signal_handlers t =
-  (* The handlers run at safe points of the main thread; they must not
-     take locks (the interrupted code may hold them), so they only flip
-     the atomic the accept loop polls. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let drain _ = request_drain t in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle drain)
-
-(* ------------------------------------------------------------------ *)
-(* Responses                                                            *)
-
-(* Serialized per connection: several jobs can finish concurrently and
-   interleaved frames would corrupt the stream.  A failed write means
-   the peer is gone — flip [alive] so its remaining jobs cancel. *)
-let send conn response =
-  Mutex.lock conn.write_mutex;
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock conn.write_mutex)
-      (fun () ->
-        if Atomic.get conn.alive then
-          Protocol.Frame.write conn.fd (Json.to_string (Protocol.response_to_json response))
-        else Error "connection closed")
-  in
-  match outcome with
-  | Ok () -> true
-  | Error msg ->
-    if Atomic.get conn.alive then begin
-      Atomic.set conn.alive false;
-      Log.debug "write failed, dropping connection"
-        ~fields:[ Log.str "peer" conn.peer; Log.str "error" msg ]
-    end;
-    false
+        })
+      (Listener.create ~name:"standbyd" ~connections:m_connections
+         ~protocol_errors:m_protocol_errors ~queue_depth:g_queue_depth
+         ~max_frame_bytes:config.max_frame_bytes config.address)
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                             *)
 
 let status_payload t =
-  Mutex.lock t.mutex;
-  let payload =
-    {
-      Protocol.draining = draining t;
-      accepted = t.accepted;
-      rejected = t.rejected;
-      in_flight = t.in_flight;
-      queue_depth = t.in_flight;
-      capacity = t.config.capacity;
-      workers = Pool.workers t.pool;
-      uptime_s = Timer.elapsed_s t.started;
-      incumbent_a =
-        (let v = Atomic.get t.last_incumbent in
-         if Float.is_nan v then None else Some v);
-      backends = [];
-    }
+  let incumbent_a =
+    let v = Atomic.get t.last_incumbent in
+    if Float.is_nan v then None else Some v
   in
-  Mutex.unlock t.mutex;
-  payload
+  Listener.status t.listener ~capacity:t.config.capacity ~workers:(Pool.workers t.pool)
+    ~incumbent_a ~backends:[]
 
 (* How long a refused client should wait before retrying: the backlog
    ahead of it, paced by the observed mean job wall time. *)
-let retry_after_s t =
+let retry_after_s t ~in_flight =
   let avg = Option.value (Engine.average_job_wall_s ()) ~default:1.0 in
-  let backlog = float_of_int (t.in_flight + 1) in
+  let backlog = float_of_int (in_flight + 1) in
   let per_worker = backlog /. float_of_int (Pool.workers t.pool) in
   Float.min 60.0 (Float.max 0.1 (avg *. per_worker))
 
 let resolve_request (o : Protocol.optimize) =
-  let to_resolved source net =
-    {
-      Job.job =
-        {
-          Manifest.id = o.Protocol.id;
-          source;
-          mode = o.Protocol.mode;
-          method_ = o.Protocol.method_;
-          penalty = o.Protocol.penalty;
-          deadline_s = o.Protocol.deadline_s;
-          process_file = None;
-        };
-      net;
-      process = Process.default;
-    }
+  let source =
+    match o.Protocol.source with
+    | Protocol.Circuit name -> Manifest.Builtin name
+    | Protocol.Bench { name; _ } -> Manifest.File name
   in
-  match o.Protocol.source with
-  | Protocol.Circuit name -> (
-    try Ok (to_resolved (Manifest.Builtin name) (Benchmarks.circuit name))
-    with Not_found ->
-      Error
-        (Printf.sprintf "unknown benchmark %S (known: %s)" name
-           (String.concat ", " Benchmarks.names)))
-  | Protocol.Bench { name; text } ->
-    Result.map (to_resolved (Manifest.File name)) (Bench_io.of_string ~name text)
+  Result.map
+    (fun net ->
+      {
+        Job.job =
+          {
+            Manifest.id = o.Protocol.id;
+            source;
+            mode = o.Protocol.mode;
+            method_ = o.Protocol.method_;
+            penalty = o.Protocol.penalty;
+            deadline_s = o.Protocol.deadline_s;
+            process_file = None;
+          };
+        net;
+        process = Process.default;
+      })
+    (Protocol.netlist_of_source o.Protocol.source)
 
 let payload_of_outcome (o : Engine.outcome) =
   match o.Engine.result with
@@ -301,23 +166,12 @@ let payload_of_outcome (o : Engine.outcome) =
         assignment = Assignment.to_string r.Optimizer.assignment;
       }
 
-let run_admitted t conn trace (o : Protocol.optimize) =
-  let finish () =
-    Mutex.lock t.mutex;
-    t.in_flight <- t.in_flight - 1;
-    Metrics.set_gauge g_queue_depth (float_of_int t.in_flight);
-    if t.in_flight = 0 then Condition.broadcast t.idle;
-    Mutex.unlock t.mutex
-  in
-  (* Install the propagated trace context (if the client sent one) for
-     this pool task: the server.request span and everything under it
+let run_admitted t conn ~trace (o : Protocol.optimize) =
+  (* The propagated trace context (if the client sent one) is installed
+     for this pool task: the server.request span and everything under it
      then carry the client's trace id, and the span parents onto the
      client's (or router's) own span across the process boundary. *)
-  let in_context f =
-    match trace with None -> f () | Some ctx -> Telemetry.with_context ctx f
-  in
-  Fun.protect ~finally:finish (fun () ->
-      in_context @@ fun () ->
+  Listener.serve_admitted t.listener ~trace (fun () ->
       Telemetry.span "server.request"
         ~fields:
           [
@@ -328,10 +182,9 @@ let run_admitted t conn trace (o : Protocol.optimize) =
           match resolve_request o with
           | Error message ->
             Telemetry.add_fields [ ("error", Json.String message) ];
-            ignore
-              (send conn (Protocol.Error_response { id = Some o.Protocol.id; message }))
+            Listener.send conn (Protocol.Error_response { id = Some o.Protocol.id; message })
           | Ok resolved ->
-            let interrupt () = not (Atomic.get conn.alive) in
+            let interrupt () = not (Listener.alive conn) in
             let admitted = Timer.unlimited () in
             let improvements = ref 0 in
             let on_incumbent (leaf : State_tree.leaf) =
@@ -341,15 +194,14 @@ let run_admitted t conn trace (o : Protocol.optimize) =
               incr improvements;
               if o.Protocol.progress then begin
                 Metrics.incr m_progress_pushed;
-                ignore
-                  (send conn
-                     (Protocol.Progress
-                        {
-                          progress_id = o.Protocol.id;
-                          progress_leakage_a = leakage;
-                          progress_elapsed_s = Timer.elapsed_s admitted;
-                          improvement = !improvements;
-                        }))
+                Listener.send conn
+                  (Protocol.Progress
+                     {
+                       progress_id = o.Protocol.id;
+                       progress_leakage_a = leakage;
+                       progress_elapsed_s = Timer.elapsed_s admitted;
+                       improvement = !improvements;
+                     })
               end
             in
             let outcome =
@@ -361,13 +213,13 @@ let run_admitted t conn trace (o : Protocol.optimize) =
                 ("status", Json.String (Engine.status_name outcome.Engine.status));
                 ("wall_s", Json.Float outcome.Engine.wall_s);
               ];
-            if not (Atomic.get conn.alive) then begin
+            if not (Listener.alive conn) then begin
               (* The client hung up while we were computing: the
                  interrupt poll already stopped the search; drop the
                  result on the floor and keep serving. *)
               Metrics.incr m_cancelled;
               Log.info "job cancelled by client disconnect"
-                ~fields:[ Log.str "id" o.Protocol.id; Log.str "peer" conn.peer ]
+                ~fields:[ Log.str "id" o.Protocol.id; Log.str "peer" (Listener.peer conn) ]
             end
             else begin
               (match (outcome.Engine.status, payload_of_outcome outcome) with
@@ -377,12 +229,11 @@ let run_admitted t conn trace (o : Protocol.optimize) =
                    | Engine.Failed m -> m
                    | _ -> "internal error: no result"
                  in
-                 ignore
-                   (send conn (Protocol.Error_response { id = Some o.Protocol.id; message }))
+                 Listener.send conn (Protocol.Error_response { id = Some o.Protocol.id; message })
                | Engine.Degraded, Some payload ->
                  Metrics.incr m_deadline_degraded;
-                 ignore (send conn (Protocol.Result payload))
-               | _, Some payload -> ignore (send conn (Protocol.Result payload)));
+                 Listener.send conn (Protocol.Result payload)
+               | _, Some payload -> Listener.send conn (Protocol.Result payload));
               Log.info "request served"
                 ~fields:
                   [
@@ -392,30 +243,8 @@ let run_admitted t conn trace (o : Protocol.optimize) =
                   ]
             end))
 
-let handle_optimize t conn trace (o : Protocol.optimize) =
-  let decision =
-    Mutex.lock t.mutex;
-    let d =
-      if draining t then begin
-        t.rejected <- t.rejected + 1;
-        `Reject ("draining", 5.0)
-      end
-      else if t.in_flight >= t.config.capacity then begin
-        t.rejected <- t.rejected + 1;
-        `Reject ("queue full", retry_after_s t)
-      end
-      else begin
-        t.in_flight <- t.in_flight + 1;
-        t.accepted <- t.accepted + 1;
-        Metrics.set_gauge g_queue_depth (float_of_int t.in_flight);
-        `Admit
-      end
-    in
-    Mutex.unlock t.mutex;
-    d
-  in
-  match decision with
-  | `Reject (reason, retry_after_s) ->
+let handle_optimize t conn ~trace (o : Protocol.optimize) =
+  let refuse reason retry_after_s =
     Metrics.incr m_rejected;
     Log.info "request rejected"
       ~fields:
@@ -424,160 +253,74 @@ let handle_optimize t conn trace (o : Protocol.optimize) =
           Log.str "reason" reason;
           Log.float "retry_after_s" retry_after_s;
         ];
-    ignore (send conn (Protocol.Rejected { id = o.Protocol.id; reason; retry_after_s }))
-  | `Admit ->
-    Metrics.incr m_accepted;
-    Pool.submit t.pool (fun () -> run_admitted t conn trace o)
-
-let handle_frame t conn line =
-  match Json.of_string line with
-  | Error msg ->
-    Metrics.incr m_protocol_errors;
-    ignore
-      (send conn (Protocol.Error_response { id = None; message = "malformed JSON: " ^ msg }))
-  | Ok json -> (
-    match Protocol.request_of_json json with
-    | Error message ->
-      Metrics.incr m_protocol_errors;
-      ignore (send conn (Protocol.Error_response { id = None; message }))
-    | Ok Protocol.Status ->
-      ignore (send conn (Protocol.Status_reply (status_payload t)))
-    | Ok Protocol.Metrics ->
-      ignore
-        (send conn
-           (Protocol.Metrics_reply
-              {
-                content_type = "text/plain; version=0.0.4";
-                body = Metrics.to_prometheus Metrics.default;
-              }))
-    | Ok Protocol.Stats ->
-      ignore (send conn (Protocol.Stats_reply (Metrics.registry_snapshot Metrics.default)))
-    | Ok (Protocol.Cache_get { key }) ->
-      Metrics.incr m_cache_gets;
-      (* Serve from the local store only: peers never chain through each
-         other's remote tiers, so mutually-peered daemons cannot loop. *)
-      let response =
-        match t.config.store with
-        | None -> Protocol.Cache_missing { key }
-        | Some store -> (
-          match Result_store.find_local store ~key with
-          | Some entry -> Protocol.Cache_found { key; entry }
-          | None -> Protocol.Cache_missing { key })
-      in
-      ignore (send conn response)
-    | Ok (Protocol.Cache_put { key; entry }) ->
-      Metrics.incr m_cache_puts;
-      let response =
-        match t.config.store with
-        | None -> Protocol.Cache_ack { key; stored = false }
-        | Some store -> (
-          match Result_store.store_local store ~key entry with
-          | () -> Protocol.Cache_ack { key; stored = true }
-          | exception Invalid_argument message ->
-            Metrics.incr m_protocol_errors;
-            Protocol.Error_response { id = None; message }
-          | exception Sys_error msg ->
-            (* Local disk trouble is this daemon's problem, not the
-               peer's: acknowledge without storing. *)
-            Log.warn "cache-put failed"
-              ~fields:[ Log.str "key" key; Log.str "error" msg ];
-            Protocol.Cache_ack { key; stored = false })
-      in
-      ignore (send conn response)
-    | Ok (Protocol.Drain { backend = None }) ->
-      Log.info "drain requested over the wire" ~fields:[ Log.str "peer" conn.peer ];
-      request_drain t;
-      ignore (send conn (Protocol.Status_reply (status_payload t)))
-    | Ok (Protocol.Drain { backend = Some b }) ->
-      ignore
-        (send conn
-           (Protocol.Error_response
-              {
-                id = None;
-                message =
-                  Printf.sprintf
-                    "this daemon has no backends (cannot drain %S); omit the backend \
-                     to drain the daemon itself"
-                    b;
-              }))
-    | Ok (Protocol.Optimize o) -> handle_optimize t conn (Protocol.trace_of_json json) o)
-
-(* ------------------------------------------------------------------ *)
-(* Connections                                                          *)
-
-let close_conn t conn =
-  Atomic.set conn.alive false;
-  Mutex.lock t.mutex;
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  Mutex.unlock t.mutex;
-  (* The fd may be raced for by the reader's cleanup and the drain
-     sweep; only the first closer releases it, so a recycled descriptor
-     is never closed by mistake. *)
-  if not (Atomic.exchange conn.closed true) then begin
-    (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-let handle_conn t conn () =
-  let reader = Protocol.Frame.reader ~max_bytes:t.config.max_frame_bytes conn.fd in
-  let rec loop () =
-    match Protocol.Frame.read reader with
-    | Ok line ->
-      if line <> "" then handle_frame t conn line;
-      loop ()
-    | Error `Eof -> Log.debug "peer disconnected" ~fields:[ Log.str "peer" conn.peer ]
-    | Error `Oversized ->
-      Metrics.incr m_protocol_errors;
-      ignore
-        (send conn
-           (Protocol.Error_response
-              {
-                id = None;
-                message =
-                  Printf.sprintf "frame exceeds %d bytes" t.config.max_frame_bytes;
-              }));
-      Log.warn "oversized frame, dropping connection"
-        ~fields:[ Log.str "peer" conn.peer ]
-    | Error (`Error msg) ->
-      Log.debug "read failed" ~fields:[ Log.str "peer" conn.peer; Log.str "error" msg ]
+    Listener.send conn (Protocol.Rejected { id = o.Protocol.id; reason; retry_after_s })
   in
-  Fun.protect ~finally:(fun () -> close_conn t conn) loop
+  match Listener.admit ~capacity:t.config.capacity t.listener with
+  | Listener.Draining -> refuse "draining" 5.0
+  | Listener.Full in_flight -> refuse "queue full" (retry_after_s t ~in_flight)
+  | Listener.Admitted ->
+    Metrics.incr m_accepted;
+    Pool.submit t.pool (fun () -> run_admitted t conn ~trace o)
 
-let peer_name fd =
-  match Unix.getpeername fd with
-  | Unix.ADDR_UNIX _ -> "unix"
-  | Unix.ADDR_INET (addr, port) ->
-    Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
-  | exception Unix.Unix_error _ -> "unknown"
+let handle_request t conn ~trace = function
+  | Protocol.Status ->
+    Listener.send conn (Protocol.Status_reply (status_payload t))
+  | Protocol.Metrics -> Listener.send conn (Protocol.metrics_reply Metrics.default)
+  | Protocol.Stats ->
+    Listener.send conn (Protocol.Stats_reply (Metrics.registry_snapshot Metrics.default))
+  | Protocol.Cache_get { key } ->
+    Metrics.incr m_cache_gets;
+    (* Serve from the local store only: peers never chain through each
+       other's remote tiers, so mutually-peered daemons cannot loop. *)
+    let response =
+      match t.config.store with
+      | None -> Protocol.Cache_missing { key }
+      | Some store -> (
+        match Result_store.find_local store ~key with
+        | Some entry -> Protocol.Cache_found { key; entry }
+        | None -> Protocol.Cache_missing { key })
+    in
+    Listener.send conn response
+  | Protocol.Cache_put { key; entry } ->
+    Metrics.incr m_cache_puts;
+    let response =
+      match t.config.store with
+      | None -> Protocol.Cache_ack { key; stored = false }
+      | Some store -> (
+        match Result_store.store_local store ~key entry with
+        | () -> Protocol.Cache_ack { key; stored = true }
+        | exception Invalid_argument message ->
+          Metrics.incr m_protocol_errors;
+          Protocol.Error_response { id = None; message }
+        | exception Sys_error msg ->
+          (* Local disk trouble is this daemon's problem, not the
+             peer's: acknowledge without storing. *)
+          Log.warn "cache-put failed"
+            ~fields:[ Log.str "key" key; Log.str "error" msg ];
+          Protocol.Cache_ack { key; stored = false })
+    in
+    Listener.send conn response
+  | Protocol.Drain { backend = None } ->
+    Log.info "drain requested over the wire" ~fields:[ Log.str "peer" (Listener.peer conn) ];
+    request_drain t;
+    Listener.send conn (Protocol.Status_reply (status_payload t))
+  | Protocol.Drain { backend = Some b } ->
+    Listener.send conn
+      (Protocol.Error_response
+         {
+           id = None;
+           message =
+             Printf.sprintf
+               "this daemon has no backends (cannot drain %S); omit the backend \
+                to drain the daemon itself"
+               b;
+         })
+  | Protocol.Optimize o -> handle_optimize t conn ~trace o
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                            *)
 
-let accept_one t =
-  match Unix.accept t.listen_fd with
-  | fd, _ ->
-    let conn =
-      {
-        fd;
-        alive = Atomic.make true;
-        closed = Atomic.make false;
-        write_mutex = Mutex.create ();
-        peer = peer_name fd;
-      }
-    in
-    Mutex.lock t.mutex;
-    t.conns <- conn :: t.conns;
-    Mutex.unlock t.mutex;
-    Metrics.incr m_connections;
-    Log.debug "connection accepted" ~fields:[ Log.str "peer" conn.peer ];
-    ignore (Thread.create (handle_conn t conn) ())
-  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-
 let run t =
-  (* A peer that hangs up mid-write must surface as EPIPE, not kill the
-     process.  (install_signal_handlers also sets this; embedding tests
-     may skip that.) *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Log.info "standbyd listening"
     ~fields:
       [
@@ -589,40 +332,5 @@ let run t =
            | Some s -> Result_store.dir s
            | None -> "disabled");
       ];
-  (* Poll the drain flag between accepts: a signal can arrive at any
-     moment, and select with a short timeout keeps the loop responsive
-     without a self-pipe. *)
-  while not (draining t) do
-    match Unix.select [ t.listen_fd ] [] [] 0.2 with
-    | [ _ ], _, _ -> accept_one t
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (* Drain: stop accepting, let admitted jobs finish and their
-     responses flush, then tear down. *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.config.address with
-   | Protocol.Unix_socket path -> (
-     try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-   | Protocol.Tcp _ -> ());
-  Mutex.lock t.mutex;
-  let backlog = t.in_flight in
-  Mutex.unlock t.mutex;
-  Log.info "draining" ~fields:[ Log.int "in_flight" backlog ];
-  Mutex.lock t.mutex;
-  while t.in_flight > 0 do
-    Condition.wait t.idle t.mutex
-  done;
-  Mutex.unlock t.mutex;
-  Pool.shutdown t.pool;
-  (* Remaining readers wake with EOF once their sockets shut down. *)
-  let conns =
-    Mutex.lock t.mutex;
-    let cs = t.conns in
-    Mutex.unlock t.mutex;
-    cs
-  in
-  List.iter (fun conn -> close_conn t conn) conns;
-  Log.info "drain complete"
-    ~fields:
-      [ Log.int "served" (Metrics.counter_value m_accepted); Log.float "uptime_s" (Timer.elapsed_s t.started) ]
+  Listener.run t.listener ~handler:(handle_request t) ~on_drain:(fun () ->
+      Pool.shutdown t.pool)

@@ -1,7 +1,7 @@
 (** standbyd: the long-running optimization daemon.
 
-    One listener (TCP or Unix-domain socket), one reader thread per
-    connection, one {!Standby_pool.Pool} of worker domains executing
+    A {!Listener} (TCP or Unix-domain socket) owns the connections and
+    the drain; one {!Standby_pool.Pool} of worker domains executes
     admitted jobs through {!Standby_service.Engine.execute} — so a
     served request returns bit-identical results to the same job run
     through [standbyopt batch], including the content-addressed
@@ -23,12 +23,9 @@
     poll, the result is discarded, and the worker moves on.  The server
     itself never goes down with a connection.
 
-    {b Drain.}  {!request_drain} (wired to SIGTERM/SIGINT by
-    {!install_signal_handlers}) stops the accept loop, answers new
-    optimize requests with [rejected ("draining")], lets every admitted
-    job finish and its response flush, then shuts the pool down and
-    returns from {!run} — the CLI then exits 0.  No admitted job is
-    lost. *)
+    {b Drain.}  As {!Listener} describes; new optimize requests are
+    answered [rejected ("draining")], and the pool shuts down once every
+    admitted job has answered.  No admitted job is lost. *)
 
 type config = {
   address : Protocol.address;
@@ -46,28 +43,16 @@ type t
 
 val create :
   ?libraries:Standby_service.Job.Library_cache.t -> config -> (t, string) result
-(** Binds and listens (a stale Unix socket file is replaced).  Pass
-    [libraries] to share characterized libraries with an embedding
-    process (tests); by default the daemon owns a fresh cache. *)
-
-val listen : Protocol.address -> (Unix.file_descr, string) result
-(** Bind-and-listen as {!create} does (stale Unix socket replaced, TCP
-    with [SO_REUSEADDR] so a rapid restart never fights TIME_WAIT for
-    the port, close-on-exec, no descriptor leaked when bind or listen
-    fails) — shared with the cluster router's front listener. *)
+(** Binds and listens ({!Listener.listen}).  Pass [libraries] to share
+    characterized libraries with an embedding process (tests); by
+    default the daemon owns a fresh cache. *)
 
 val run : t -> unit
-(** The accept loop.  Blocks until a drain completes; the listener is
-    closed and every worker joined when it returns.  Call at most
-    once. *)
+(** {!Listener.run}; every worker is joined when it returns.  Call at
+    most once. *)
 
 val request_drain : t -> unit
-(** Signal-safe: flips an atomic the accept loop polls. *)
-
-val draining : t -> bool
+(** {!Listener.request_drain}. *)
 
 val install_signal_handlers : t -> unit
-(** SIGTERM and SIGINT request a drain; SIGPIPE is ignored (a client
-    hanging up mid-write must not kill the daemon). *)
-
-val address : t -> Protocol.address
+(** {!Listener.install_signal_handlers}. *)

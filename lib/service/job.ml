@@ -9,12 +9,7 @@ module Benchmarks = Standby_circuits.Benchmarks
 type resolved = { job : Manifest.job; net : Netlist.t; process : Process.t }
 
 let load_netlist = function
-  | Manifest.Builtin name -> (
-    try Ok (Benchmarks.circuit name)
-    with Not_found ->
-      Error
-        (Printf.sprintf "unknown benchmark %S (known: %s)" name
-           (String.concat ", " Benchmarks.names)))
+  | Manifest.Builtin name -> Benchmarks.find name
   | Manifest.File path ->
     if not (Sys.file_exists path) then Error (Printf.sprintf "no such netlist file %s" path)
     else if Filename.check_suffix path ".v" then Verilog_io.read_file path

@@ -60,6 +60,9 @@ type t = {
   mutable pend_updates : int;
   mutable pend_pops : int;
   mutable boundary : boundary option;
+  (* Set by [update_from] when a primary output it re-timed misses its
+     effective required time. *)
+  mutable output_late : bool;
 }
 
 let flush_batch = 1024
@@ -204,6 +207,7 @@ let recompute_required t id =
 
 let update_from t start =
   let pops = ref 0 in
+  t.output_late <- false;
   (* Forward: fanout-driven worklist from [start].  Node ids are
      topological, so the ascending heap settles each node exactly once
      — cost scales with the affected cone, not the netlist. *)
@@ -220,6 +224,11 @@ let update_from t start =
       let old_rise = t.arr_rise.(id) and old_fall = t.arr_fall.(id) in
       let old_srise = t.slew_rise.(id) and old_sfall = t.slew_fall.(id) in
       recompute_arrival t id kind fanin;
+      if t.is_out.(id) then begin
+        let rr, rf = output_required t id in
+        if t.arr_rise.(id) > rr +. epsilon || t.arr_fall.(id) > rf +. epsilon then
+          t.output_late <- true
+      end;
       if
         id = start
         || abs_float (t.arr_rise.(id) -. old_rise) > epsilon
@@ -258,6 +267,8 @@ let update_from t start =
   t.pend_pops <- t.pend_pops + !pops;
   if t.pend_updates >= flush_batch then flush_counters t
 
+let outputs_met t = not t.output_late
+
 let circuit_delay t =
   Array.fold_left
     (fun acc o -> max acc (max t.arr_rise.(o) t.arr_fall.(o)))
@@ -292,6 +303,7 @@ let create ?load lib net =
       pend_updates = 0;
       pend_pops = 0;
       boundary = None;
+      output_late = false;
       fheap = Int_heap.create n;
       bheap = Int_heap.create ~descending:true n;
       is_out =

@@ -81,6 +81,15 @@ val update_from : t -> int -> unit
     to timing epsilon, but the cost scales with the affected cone and
     the steady state allocates nothing. *)
 
+val outputs_met : t -> bool
+(** Did every primary output the last {!update_from} re-timed meet its
+    effective required time?  Every output whose arrival moved is on the
+    forward worklist, so on a workspace that met its budget before a
+    single-gate change this is a complete feasibility check at the cost
+    of the cone — unlike the changed gate's own slack, it also sees a
+    path lengthened only by a fanout's critical pin switching onto a
+    slower-slewing input. *)
+
 val flush_counters : t -> unit
 (** Publish locally batched [sta.incremental_updates] /
     [sta.worklist_pops] metric deltas to the shared registry.  Called

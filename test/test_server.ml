@@ -17,6 +17,8 @@ module Metrics = Standby_telemetry.Metrics
 module Telemetry = Standby_telemetry.Telemetry
 module Protocol = Standby_server.Protocol
 module Server = Standby_server.Server
+module Listener = Standby_server.Listener
+module Router = Standby_cluster.Router
 module Client = Standby_server.Client
 
 let check = Alcotest.check
@@ -70,10 +72,12 @@ let with_server ?capacity ?workers ?max_frame_bytes ?store f =
   let h = start ?capacity ?workers ?max_frame_bytes ?store () in
   Fun.protect ~finally:(fun () -> stop h) (fun () -> f h)
 
-let connect h =
-  match Client.connect h.address with
+let connect_to address =
+  match Client.connect address with
   | Ok c -> c
   | Error e -> Alcotest.failf "connect: %s" (Client.error_message e)
+
+let connect h = connect_to h.address
 
 let with_client h f =
   let c = connect h in
@@ -149,9 +153,9 @@ let metric_value h name =
 
 (* Raw-socket access for the robustness tests: drive the wire format by
    hand, below the typed client. *)
-let raw_connect h =
+let raw_connect address =
   let path =
-    match h.address with Protocol.Unix_socket p -> p | _ -> assert false
+    match address with Protocol.Unix_socket p -> p | _ -> assert false
   in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
@@ -656,56 +660,89 @@ let test_disconnect_cancels_job () =
 (* ------------------------------------------------------------------ *)
 (* Wire robustness                                                      *)
 
-let test_malformed_json_keeps_connection () =
-  with_server (fun h ->
-      let fd = raw_connect h in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let reader = Protocol.Frame.reader fd in
+(* Both listeners share one read loop, so each robustness test runs
+   against the daemon and against a router front with one daemon behind
+   it. *)
+type front = Daemon | Router_front
+
+let with_front ?max_frame_bytes front f =
+  match front with
+  | Daemon -> with_server ?max_frame_bytes (fun h -> f h.address)
+  | Router_front ->
+    with_server (fun backend ->
+        let listen = Protocol.Unix_socket (fresh_socket ()) in
+        let config = Router.default_config ~listen ~backends:[ backend.address ] in
+        let config =
+          {
+            config with
+            Router.max_frame_bytes =
+              Option.value max_frame_bytes ~default:config.Router.max_frame_bytes;
+          }
+        in
+        match Router.create config with
+        | Error msg -> Alcotest.failf "router create: %s" msg
+        | Ok router ->
+          let thread = Thread.create Router.run router in
+          Fun.protect
+            ~finally:(fun () ->
+              Router.request_drain router;
+              Thread.join thread)
+            (fun () -> f listen))
+
+let with_raw address f =
+  let fd = raw_connect address in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd (Protocol.Frame.reader fd))
+
+(* In-process, so the daemon and the router share one registry: each
+   listener must count frame errors under its own name only. *)
+let protocol_errors name = Metrics.counter_value (Metrics.counter Metrics.default name)
+
+let test_malformed_json_keeps_connection front () =
+  let own, other =
+    match front with
+    | Daemon -> ("server.protocol_errors", "cluster.protocol_errors")
+    | Router_front -> ("cluster.protocol_errors", "server.protocol_errors")
+  in
+  with_front front (fun address ->
+      with_raw address (fun fd reader ->
+          let own_before = protocol_errors own and other_before = protocol_errors other in
           write_all fd "this is not json\n";
-          expect_error ~sub:"" (read_response reader);
+          expect_error ~sub:"malformed JSON" (read_response reader);
+          check Alcotest.int ("counted on " ^ own) (own_before + 1) (protocol_errors own);
+          check Alcotest.int ("not counted on " ^ other) other_before (protocol_errors other);
           (* The same connection still works. *)
           write_all fd status_line;
           ignore (expect_status (read_response reader))))
 
-let test_unknown_version () =
-  with_server (fun h ->
-      let fd = raw_connect h in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let reader = Protocol.Frame.reader fd in
+let test_unknown_version front () =
+  with_front front (fun address ->
+      with_raw address (fun fd reader ->
           write_all fd "{\"v\":99,\"type\":\"status\"}\n";
           expect_error ~sub:"version" (read_response reader);
           write_all fd status_line;
           ignore (expect_status (read_response reader))))
 
-let test_oversized_frame_drops_connection () =
-  with_server ~max_frame_bytes:256 (fun h ->
-      let fd = raw_connect h in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let reader = Protocol.Frame.reader fd in
+let test_oversized_frame_drops_connection front () =
+  with_front ~max_frame_bytes:256 front (fun address ->
+      with_raw address (fun fd reader ->
           write_all fd (String.make 1024 'a' ^ "\n");
-          expect_error ~sub:"" (read_response reader);
+          expect_error ~sub:"exceeds 256 bytes" (read_response reader);
           (* The poisoned connection is dropped... *)
           match Protocol.Frame.read reader with
           | Error `Eof -> ()
           | Ok line -> Alcotest.failf "expected EOF, got %s" line
           | Error _ -> ());
-      (* ... but the daemon keeps serving fresh connections. *)
-      with_client h (fun c ->
-          ignore (expect_status (cok (Client.rpc c Protocol.Status)))))
-
-let test_partial_writes_reassemble () =
-  with_server (fun h ->
-      let fd = raw_connect h in
+      (* ... but the listener keeps serving fresh connections. *)
+      let c = connect_to address in
       Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let reader = Protocol.Frame.reader fd in
+        ~finally:(fun () -> Client.close c)
+        (fun () -> ignore (expect_status (cok (Client.rpc c Protocol.Status)))))
+
+let test_partial_writes_reassemble front () =
+  with_front front (fun address ->
+      with_raw address (fun fd reader ->
           (* Dribble the request a few bytes at a time: the framing layer
              must reassemble it across reads. *)
           let n = String.length status_line in
@@ -719,6 +756,19 @@ let test_partial_writes_reassemble () =
           in
           dribble 0;
           ignore (expect_status (read_response reader))))
+
+let wire_tests =
+  List.concat_map
+    (fun (front, suffix) ->
+      [
+        quick ("malformed json keeps the connection" ^ suffix)
+          (test_malformed_json_keeps_connection front);
+        quick ("unknown version is answered" ^ suffix) (test_unknown_version front);
+        quick ("oversized frame drops the connection" ^ suffix)
+          (test_oversized_frame_drops_connection front);
+        quick ("partial writes reassemble" ^ suffix) (test_partial_writes_reassemble front);
+      ])
+    [ (Daemon, ""); (Router_front, " via the router") ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache verbs, status fields, wire drain, listener reuse               *)
@@ -842,7 +892,7 @@ let test_listen_failure_leaks_no_fd () =
   (* Binding an impossible address must fail cleanly and release the
      socket; repeated failures would otherwise exhaust descriptors. *)
   for _ = 1 to 64 do
-    match Server.listen (Protocol.Tcp ("127.0.0.1", 1)) with
+    match Listener.listen (Protocol.Tcp ("127.0.0.1", 1)) with
     | Ok fd ->
       (* Running as root, low ports bind fine — just release and move on. *)
       Unix.close fd
@@ -879,13 +929,7 @@ let () =
           quick "drain finishes in-flight work" test_drain_finishes_in_flight;
           quick "disconnect cancels the job" test_disconnect_cancels_job;
         ] );
-      ( "wire",
-        [
-          quick "malformed json keeps the connection" test_malformed_json_keeps_connection;
-          quick "unknown version is answered" test_unknown_version;
-          quick "oversized frame drops the connection" test_oversized_frame_drops_connection;
-          quick "partial writes reassemble" test_partial_writes_reassemble;
-        ] );
+      ("wire", wire_tests);
       ( "cluster-verbs",
         [
           quick "cache verbs round trip" test_cache_verbs_roundtrip;
