@@ -39,6 +39,7 @@ module Process_config = Standby_device.Process_config
 module Dot_export = Standby_report.Dot_export
 module Manifest = Standby_service.Manifest
 module Engine = Standby_service.Engine
+module Job = Standby_service.Job
 module Result_store = Standby_service.Result_store
 module Log = Standby_telemetry.Log
 module Telemetry = Standby_telemetry.Telemetry
@@ -107,12 +108,9 @@ let install_telemetry ?role ?(quiet = false) t =
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                     *)
 
-let mode_of_string s =
-  Result.map_error (fun msg -> `Msg msg) (Manifest.mode_of_string s)
-
 let mode_conv =
   Arg.conv
-    ( (fun s -> mode_of_string s),
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (Manifest.mode_of_string s)),
       fun fmt m -> Format.pp_print_string fmt (Version.mode_name m) )
 
 let mode_arg =
@@ -128,10 +126,6 @@ let circuit_arg =
 let bench_file_arg =
   let doc = "Read the netlist from a file instead (.bench or gate-level .v)." in
   Arg.(value & opt (some file) None & info [ "f"; "file" ] ~docv:"FILE" ~doc)
-
-let read_netlist_file path =
-  if Filename.check_suffix path ".v" then Verilog_io.read_file path
-  else Bench_io.read_file path
 
 let simplify_arg =
   let doc = "Run the peephole cleanup pass (CSE, buffer removal, dead logic) first." in
@@ -150,13 +144,8 @@ let load_netlist circuit file =
   match (circuit, file) with
   | Some _, Some _ -> Error "pass either --circuit or --file, not both"
   | None, None -> Error "pass --circuit NAME or --file FILE"
-  | Some name, None ->
-    (try Ok (Benchmarks.circuit name)
-     with Not_found ->
-       Error
-         (Printf.sprintf "unknown benchmark %S (known: %s)" name
-            (String.concat ", " Benchmarks.names)))
-  | None, Some path -> read_netlist_file path
+  | Some name, None -> Job.load_netlist (Manifest.Builtin name)
+  | None, Some path -> Job.load_netlist (Manifest.File path)
 
 let penalty_arg =
   let doc = "Delay penalty as a fraction of the all-fast/all-slow spread." in
@@ -170,31 +159,33 @@ let resolve_process = function
   | None -> Ok Process.default
   | Some path -> Process_config.load_file Process.default path
 
+(* The netlist (cleaned up on --simplify) and the library an optimize
+   or baseline run works on. *)
+let load_design circuit file mode process_file simplify =
+  Result.bind (resolve_process process_file) (fun process ->
+      Result.map
+        (fun net ->
+          let net = maybe_simplify simplify net in
+          (Library.build ~mode process, net))
+        (load_netlist circuit file))
+
+let print_design lib net =
+  Printf.printf "circuit        %s (%d inputs, %d gates, depth %d)\n"
+    (Netlist.design_name net) (Netlist.input_count net) (Netlist.gate_count net)
+    (Netlist.depth net);
+  Printf.printf "library        %s (%d cell versions)\n"
+    (Version.mode_name (Library.mode lib))
+    (Library.total_version_count lib)
+
 (* ------------------------------------------------------------------ *)
 (* optimize                                                             *)
 
 let method_conv =
-  let parse = function
-    | "heu1" -> Ok `Heu1
-    | "heu2" -> Ok `Heu2
-    | "hc" -> Ok `Hill_climb
-    | "exact" -> Ok `Exact
-    | "greedy" -> Ok `Greedy
-    | "partition" -> Ok `Partition
-    | s ->
-      Error (`Msg (Printf.sprintf "unknown method %S (heu1|heu2|hc|exact|greedy|partition)" s))
-  in
-  let print fmt m =
-    Format.pp_print_string fmt
-      (match m with
-       | `Heu1 -> "heu1"
-       | `Heu2 -> "heu2"
-       | `Hill_climb -> "hc"
-       | `Exact -> "exact"
-       | `Greedy -> "greedy"
-       | `Partition -> "partition")
-  in
-  Arg.conv (parse, print)
+  Arg.conv
+    ( (fun s ->
+        Optimizer.method_of_token s Optimizer.default_params
+        |> Result.map_error (fun m -> `Msg m)),
+      fun fmt m -> Format.pp_print_string fmt (Optimizer.method_token m) )
 
 let method_arg =
   let doc =
@@ -203,7 +194,9 @@ let method_arg =
      by --time-budget — or partition: FM min-cut decomposition into regions optimized \
      greedily --jobs at a time, then reconciled globally (see --regions)."
   in
-  Arg.(value & opt method_conv `Heu1 & info [ "m"; "method"; "mode" ] ~docv:"METHOD" ~doc)
+  Arg.(
+    value & opt method_conv Optimizer.Heuristic_1
+    & info [ "m"; "method"; "mode" ] ~docv:"METHOD" ~doc)
 
 let regions_arg =
   let doc =
@@ -221,6 +214,23 @@ let time_budget_arg =
      far is returned when it expires."
   in
   Arg.(value & opt float 10.0 & info [ "time-budget" ] ~docv:"SECONDS" ~doc)
+
+(* -m names the method; greedy and partition take their budget from
+   --time-budget, the tree searches their limit from --heu2-limit.  The
+   table validates the result, so every surface refuses the same
+   values. *)
+let method_term =
+  let make named heu2_limit time_budget regions =
+    let time_limit_s =
+      match named with
+      | Optimizer.Greedy _ | Optimizer.Partition _ -> time_budget
+      | _ -> heu2_limit
+    in
+    Optimizer.method_of_token (Optimizer.method_token named)
+      { Optimizer.default_params with time_limit_s; regions }
+  in
+  Term.(
+    term_result' (const make $ method_arg $ heu2_limit_arg $ time_budget_arg $ regions_arg))
 
 let vectors_arg =
   let doc =
@@ -245,39 +255,20 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let run_optimize telemetry circuit file mode method_ penalty heu2_limit time_budget regions
-    jobs vectors verbose timing process_file simplify =
+let run_optimize telemetry circuit file mode method_ penalty jobs vectors verbose timing
+    process_file simplify =
   install_telemetry ~role:"batch" telemetry;
-  match
-    Result.bind (resolve_process process_file) (fun process ->
-        Result.map (fun net -> (process, net)) (load_netlist circuit file))
-  with
+  match load_design circuit file mode process_file simplify with
   | Error msg ->
     Log.err "%s" msg;
     1
-  | Ok (process, net) ->
-    let net = maybe_simplify simplify net in
-    let lib = Library.build ~mode process in
-    let m =
-      match method_ with
-      | `Heu1 -> Optimizer.Heuristic_1
-      | `Heu2 -> Optimizer.Heuristic_2 { time_limit_s = heu2_limit }
-      | `Hill_climb -> Optimizer.Hill_climb { time_limit_s = heu2_limit; max_rounds = 8 }
-      | `Exact -> Optimizer.Exact
-      | `Greedy -> Optimizer.Greedy { time_budget_s = time_budget }
-      | `Partition -> Optimizer.Partition { time_budget_s = time_budget; regions }
-    in
+  | Ok (lib, net) ->
     let avg =
       if vectors > 0 then Some (Baselines.random_average ~vectors ~jobs lib net) else None
     in
-    let r = Optimizer.run ~jobs lib net ~penalty m in
+    let r = Optimizer.run ~jobs lib net ~penalty method_ in
     let b = r.Optimizer.breakdown in
-    Printf.printf "circuit        %s (%d inputs, %d gates, depth %d)\n"
-      (Netlist.design_name net) (Netlist.input_count net) (Netlist.gate_count net)
-      (Netlist.depth net);
-    Printf.printf "library        %s (%d cell versions)\n"
-      (Version.mode_name (Library.mode lib))
-      (Library.total_version_count lib);
+    print_design lib net;
     Printf.printf "method         %s\n" r.Optimizer.method_name;
     Printf.printf "delay budget   %.2f (fast %.2f, all-slow %.2f, penalty %.0f%%)\n"
       r.Optimizer.budget r.Optimizer.delay_fast r.Optimizer.delay_slow (penalty *. 100.);
@@ -329,8 +320,8 @@ let optimize_cmd =
   Cmd.v info
     Term.(
       const run_optimize $ telemetry_term $ circuit_arg $ bench_file_arg $ mode_arg
-      $ method_arg $ penalty_arg $ heu2_limit_arg $ time_budget_arg $ regions_arg
-      $ jobs_arg $ vectors_arg $ verbose_arg $ timing_arg $ process_file_arg $ simplify_arg)
+      $ method_term $ penalty_arg $ jobs_arg $ vectors_arg $ verbose_arg $ timing_arg
+      $ process_file_arg $ simplify_arg)
 
 (* ------------------------------------------------------------------ *)
 (* baseline                                                             *)
@@ -355,27 +346,17 @@ let check_arg =
 
 let run_baseline telemetry circuit file mode vectors jobs seed check process_file simplify =
   install_telemetry telemetry;
-  match
-    Result.bind (resolve_process process_file) (fun process ->
-        Result.map (fun net -> (process, net)) (load_netlist circuit file))
-  with
+  match load_design circuit file mode process_file simplify with
   | Error msg ->
     Log.err "%s" msg;
     1
-  | Ok (process, net) ->
-    let net = maybe_simplify simplify net in
-    let lib = Library.build ~mode process in
+  | Ok (lib, net) ->
     let avg, packed_s =
       Standby_util.Timer.time (fun () ->
           Evaluate.random_vector_average ~vectors ~jobs ~seed lib net)
     in
     let slow = Evaluate.slowest_random_average ~vectors ~jobs ~seed lib net in
-    Printf.printf "circuit        %s (%d inputs, %d gates, depth %d)\n"
-      (Netlist.design_name net) (Netlist.input_count net) (Netlist.gate_count net)
-      (Netlist.depth net);
-    Printf.printf "library        %s (%d cell versions)\n"
-      (Version.mode_name (Library.mode lib))
-      (Library.total_version_count lib);
+    print_design lib net;
     Printf.printf "vectors        %d (seed %#x, %d 63-lane blocks, jobs %d)\n" vectors seed
       ((vectors + 62) / 63) jobs;
     Printf.printf "avg leakage    %.4f uA  (isub %.4f + igate %.4f)\n"
@@ -453,6 +434,14 @@ let quiet_arg =
   in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
+let make_store cache_dir no_cache cache_max =
+  if no_cache then Ok None
+  else
+    let dir = Option.value cache_dir ~default:(Result_store.default_dir ()) in
+    match Result_store.create ?max_entries:cache_max ~dir () with
+    | store -> Ok (Some store)
+    | exception Sys_error msg -> Error msg
+
 let run_batch telemetry manifest workers cache_dir no_cache cache_max csv quiet =
   install_telemetry ~role:"batch" ~quiet telemetry;
   match Manifest.load_file manifest with
@@ -460,14 +449,7 @@ let run_batch telemetry manifest workers cache_dir no_cache cache_max csv quiet 
     Log.err "%s: %s" manifest msg;
     1
   | Ok jobs -> (
-    match
-      if no_cache then Ok None
-      else
-        let dir = Option.value cache_dir ~default:(Result_store.default_dir ()) in
-        match Result_store.create ?max_entries:cache_max ~dir () with
-        | store -> Ok (Some store)
-        | exception Sys_error msg -> Error msg
-    with
+    match make_store cache_dir no_cache cache_max with
     | Error msg ->
       Log.err "%s" msg;
       1
@@ -519,14 +501,6 @@ let capacity_arg =
      are rejected with a retry-after hint."
   in
   Arg.(value & opt int 64 & info [ "capacity" ] ~docv:"N" ~doc)
-
-let make_store cache_dir no_cache cache_max =
-  if no_cache then Ok None
-  else
-    let dir = Option.value cache_dir ~default:(Result_store.default_dir ()) in
-    match Result_store.create ?max_entries:cache_max ~dir () with
-    | store -> Ok (Some store)
-    | exception Sys_error msg -> Error msg
 
 let peers_arg =
   let doc =
@@ -643,7 +617,7 @@ let submit_requests circuits files mode method_ penalty deadline_s progress =
         Wire.Bench
           { name = Filename.remove_extension (Filename.basename path);
             text = Bench_io.to_string net })
-      (read_netlist_file path)
+      (Job.load_netlist (Manifest.File path))
   in
   let rec sources acc = function
     | [] -> Ok (List.rev acc)
@@ -826,19 +800,10 @@ let submit_session ~json requests address =
           in
           drain 0 (List.length requests))
 
-let run_submit telemetry connect upstreams circuits files mode method_ heu2_limit
-    time_budget regions penalty deadline progress status stats metrics json =
+let run_submit telemetry connect upstreams circuits files mode method_ penalty deadline
+    progress status stats metrics json =
   install_telemetry ~role:"client" telemetry;
-  let m =
-    match method_ with
-    | `Heu1 -> Optimizer.Heuristic_1
-    | `Heu2 -> Optimizer.Heuristic_2 { time_limit_s = heu2_limit }
-    | `Hill_climb -> Optimizer.Hill_climb { time_limit_s = heu2_limit; max_rounds = 8 }
-    | `Exact -> Optimizer.Exact
-    | `Greedy -> Optimizer.Greedy { time_budget_s = time_budget }
-    | `Partition -> Optimizer.Partition { time_budget_s = time_budget; regions }
-  in
-  match submit_requests circuits files mode m penalty deadline progress with
+  match submit_requests circuits files mode method_ penalty deadline progress with
   | Error msg ->
     Log.err "%s" msg;
     1
@@ -899,9 +864,9 @@ let submit_cmd =
   Cmd.v info
     Term.(
       const run_submit $ client_telemetry_term $ connect_arg $ upstream_arg
-      $ submit_circuits_arg $ submit_files_arg $ mode_arg $ method_arg $ heu2_limit_arg
-      $ time_budget_arg $ regions_arg $ penalty_arg $ deadline_arg $ progress_flag_arg
-      $ status_flag_arg $ stats_flag_arg $ metrics_flag_arg $ json_flag_arg)
+      $ submit_circuits_arg $ submit_files_arg $ mode_arg $ method_term $ penalty_arg
+      $ deadline_arg $ progress_flag_arg $ status_flag_arg $ stats_flag_arg
+      $ metrics_flag_arg $ json_flag_arg)
 
 (* ------------------------------------------------------------------ *)
 (* route / drain                                                        *)

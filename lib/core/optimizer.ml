@@ -54,6 +54,52 @@ let method_name = function
   | Greedy _ -> "greedy"
   | Partition _ -> "partition"
 
+type params = { time_limit_s : float; rounds : int; regions : int }
+
+let default_params = { time_limit_s = 2.0; rounds = 8; regions = 0 }
+
+type param = Time_limit of float | Rounds of int | Regions of int
+
+(* Every method built from one parameter set: the vocabulary's order. *)
+let all_methods { time_limit_s; rounds; regions } =
+  [
+    Heuristic_1;
+    Heuristic_2 { time_limit_s };
+    Hill_climb { time_limit_s; max_rounds = rounds };
+    Exact;
+    Greedy { time_budget_s = time_limit_s };
+    Partition { time_budget_s = time_limit_s; regions };
+  ]
+
+let method_token = function
+  | Hill_climb _ -> "hc"
+  | m -> method_name m
+
+let method_params = function
+  | Heuristic_1 | Exact -> []
+  | Heuristic_2 { time_limit_s } | Greedy { time_budget_s = time_limit_s } ->
+    [ Time_limit time_limit_s ]
+  | Hill_climb { time_limit_s; max_rounds } -> [ Time_limit time_limit_s; Rounds max_rounds ]
+  | Partition { time_budget_s; regions } -> [ Time_limit time_budget_s; Regions regions ]
+
+let method_tokens = List.map method_token (all_methods default_params)
+
+let param_error = function
+  | Time_limit t when not (t > 0.0) -> Some "time limit must be positive"
+  | Rounds r when r <= 0 -> Some "rounds must be positive"
+  | Regions k when k < 0 -> Some "regions must be non-negative (0 = automatic)"
+  | Time_limit _ | Rounds _ | Regions _ -> None
+
+let method_of_token token params =
+  match List.find_opt (fun m -> method_token m = token) (all_methods params) with
+  | None ->
+    Error
+      (Printf.sprintf "unknown method %S (%s)" token (String.concat "|" method_tokens))
+  | Some m -> (
+    match List.find_map param_error (method_params m) with
+    | Some msg -> Error msg
+    | None -> Ok m)
+
 (* Sized so a region's incremental STA cone stays cache-resident while
    the count still leaves every worker of a typical pool busy. *)
 let auto_regions gates = max 2 (min 16 (gates / 25_000))

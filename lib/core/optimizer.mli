@@ -32,6 +32,32 @@ type method_ =
           {!constructor-Greedy}, and bit-identical across [jobs]. *)
 
 val method_name : method_ -> string
+(** Display name in results and tables ([heu1+hc] for hill climbing). *)
+
+(** {1 Method vocabulary}
+
+    The one table the CLI, job manifests and the wire protocol name,
+    parameterize, default and validate methods through. *)
+
+type params = { time_limit_s : float; rounds : int; regions : int }
+(** [time_limit_s] is heu2's budget, hc's refinement limit and the hard
+    budget of greedy and partition; [regions = 0] sizes automatically. *)
+
+val default_params : params
+(** 2.0 s, 8 rounds, 0 regions. *)
+
+type param = Time_limit of float | Rounds of int | Regions of int
+
+val method_token : method_ -> string
+(** The method's name on the CLI, in manifests and on the wire. *)
+
+val method_params : method_ -> param list
+(** The parameters the method takes, in wire order. *)
+
+val method_of_token : string -> params -> (method_, string) result
+(** Builds the method [token] names, validating only the parameters it
+    takes: time limit > 0, rounds > 0, regions >= 0.  Errors are
+    user-facing messages; an unknown token lists every token. *)
 
 type result = {
   method_name : string;

@@ -152,31 +152,17 @@ let metrics_reply registry =
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                             *)
 
-let method_to_json = function
-  | Optimizer.Heuristic_1 -> Json.Obj [ ("name", Json.String "heu1") ]
-  | Optimizer.Heuristic_2 { time_limit_s } ->
-    Json.Obj [ ("name", Json.String "heu2"); ("time_limit_s", Json.Float time_limit_s) ]
-  | Optimizer.Hill_climb { time_limit_s; max_rounds } ->
-    Json.Obj
-      [
-        ("name", Json.String "hc");
-        ("time_limit_s", Json.Float time_limit_s);
-        ("rounds", Json.Int max_rounds);
-      ]
-  | Optimizer.Exact -> Json.Obj [ ("name", Json.String "exact") ]
-  | Optimizer.Greedy { time_budget_s } ->
-    Json.Obj
-      [
-        ("name", Json.String "greedy");
-        ("time_budget_ms", Json.Int (int_of_float (Float.round (time_budget_s *. 1000.0))));
-      ]
-  | Optimizer.Partition { time_budget_s; regions } ->
-    Json.Obj
-      [
-        ("name", Json.String "partition");
-        ("time_budget_ms", Json.Int (int_of_float (Float.round (time_budget_s *. 1000.0))));
-        ("regions", Json.Int regions);
-      ]
+(* The method object: its token under "name" plus the parameters the
+   method takes, under the manifest's key names. *)
+let method_to_json m =
+  Json.Obj
+    (("name", Json.String (Optimizer.method_token m))
+    :: List.map
+         (function
+           | Optimizer.Time_limit t -> ("time_limit_s", Json.Float t)
+           | Optimizer.Rounds r -> ("rounds", Json.Int r)
+           | Optimizer.Regions k -> ("regions", Json.Int k))
+         (Optimizer.method_params m))
 
 (* A cached result on the wire: the same fields the on-disk store keeps,
    at full float precision (the codec prints %.17g) so a shared-tier hit
@@ -233,24 +219,22 @@ let trace_of_json json =
       in
       Some { Telemetry.trace_id; parent })
 
+(* Every record opens with its version and type. *)
+let record ?(v = min_version) type_ members =
+  Json.Obj (("v", Json.Int v) :: ("type", Json.String type_) :: members)
+
 let request_to_json ?trace request =
-  let frame ?(v = min_version) members =
-    Json.Obj ((("v", Json.Int v) :: members) @ trace_members trace)
-  in
+  let frame ?v type_ members = record ?v type_ (members @ trace_members trace) in
   match request with
-  | Status -> frame [ ("type", Json.String "status") ]
-  | Metrics -> frame [ ("type", Json.String "metrics") ]
-  | Stats -> frame ~v:2 [ ("type", Json.String "stats") ]
-  | Cache_get { key } ->
-    frame [ ("type", Json.String "cache-get"); ("key", Json.String key) ]
+  | Status -> frame "status" []
+  | Metrics -> frame "metrics" []
+  | Stats -> frame ~v:2 "stats" []
+  | Cache_get { key } -> frame "cache-get" [ ("key", Json.String key) ]
   | Cache_put { key; entry } ->
-    frame
-      ([ ("type", Json.String "cache-put"); ("key", Json.String key) ]
-      @ entry_members entry)
+    frame "cache-put" (("key", Json.String key) :: entry_members entry)
   | Drain { backend } ->
-    frame
-      ([ ("type", Json.String "drain") ]
-      @ match backend with None -> [] | Some b -> [ ("backend", Json.String b) ])
+    frame "drain"
+      (match backend with None -> [] | Some b -> [ ("backend", Json.String b) ])
   | Optimize o ->
     let source_members =
       match o.source with
@@ -259,33 +243,20 @@ let request_to_json ?trace request =
         [ ("name", Json.String name); ("bench", Json.String text) ]
     in
     (* A v1 server would accept-and-never-push a progress-requesting
-       job, and would not know the greedy or partition modes; stamping
+       job, and would not know the greedy or partition methods; stamping
        v:2 makes it reject loudly instead. *)
-    let anytime_members =
-      let budget time_budget_s =
-        ("time_budget_ms", Json.Int (int_of_float (Float.round (time_budget_s *. 1000.0))))
-      in
-      match o.method_ with
-      | Optimizer.Greedy { time_budget_s } ->
-        [ ("mode", Json.String "greedy"); budget time_budget_s ]
-      | Optimizer.Partition { time_budget_s; regions } ->
-        [
-          ("mode", Json.String "partition");
-          budget time_budget_s;
-          ("regions", Json.Int regions);
-        ]
-      | _ -> []
-    in
     frame
-      ~v:(if o.progress || anytime_members <> [] then 2 else min_version)
-      ([ ("type", Json.String "optimize"); ("id", Json.String o.id) ]
-      @ source_members
+      ~v:
+        (match o.method_ with
+         | Optimizer.Greedy _ | Optimizer.Partition _ -> 2
+         | _ -> if o.progress then 2 else min_version)
+      "optimize"
+      ((("id", Json.String o.id) :: source_members)
       @ [
           ("library", Json.String (Manifest.mode_token o.mode));
           ("method", method_to_json o.method_);
           ("penalty", Json.Float o.penalty);
         ]
-      @ anytime_members
       @ (if o.progress then [ ("progress", Json.Bool true) ] else [])
       @
       match o.deadline_s with
@@ -312,10 +283,8 @@ let snapshot_to_members (s : Metrics.registry_snapshot) =
 
 let response_to_json = function
   | Result r ->
-    Json.Obj
+    record "result"
       [
-        ("v", Json.Int min_version);
-        ("type", Json.String "result");
         ("id", Json.String r.id);
         ("status", Json.String r.status);
         ("method", Json.String r.method_name);
@@ -336,18 +305,15 @@ let response_to_json = function
         ("assignment", Json.String r.assignment);
       ]
   | Rejected { id; reason; retry_after_s } ->
-    Json.Obj
+    record "rejected"
       [
-        ("v", Json.Int min_version);
-        ("type", Json.String "rejected");
         ("id", Json.String id);
         ("reason", Json.String reason);
         ("retry_after_s", Json.Float retry_after_s);
       ]
   | Error_response { id; message } ->
-    Json.Obj
-      ([ ("v", Json.Int min_version); ("type", Json.String "error") ]
-      @ (match id with None -> [] | Some id -> [ ("id", Json.String id) ])
+    record "error"
+      ((match id with None -> [] | Some id -> [ ("id", Json.String id) ])
       @ [ ("message", Json.String message) ])
   | Status_reply s ->
     let backend_to_json b =
@@ -364,10 +330,8 @@ let response_to_json = function
         | None -> []
         | Some v -> [ ("incumbent_A", Json.Float v) ])
     in
-    Json.Obj
+    record "status"
       ([
-         ("v", Json.Int min_version);
-         ("type", Json.String "status");
          ("draining", Json.Bool s.draining);
          ("accepted", Json.Int s.accepted);
          ("rejected", Json.Int s.rejected);
@@ -385,41 +349,22 @@ let response_to_json = function
       | [] -> []
       | bs -> [ ("backends", Json.List (List.map backend_to_json bs)) ])
   | Metrics_reply { content_type; body } ->
-    Json.Obj
-      [
-        ("v", Json.Int min_version);
-        ("type", Json.String "metrics");
-        ("content_type", Json.String content_type);
-        ("body", Json.String body);
-      ]
-  | Stats_reply snapshot ->
-    Json.Obj
-      ([ ("v", Json.Int 2); ("type", Json.String "stats") ] @ snapshot_to_members snapshot)
+    record "metrics"
+      [ ("content_type", Json.String content_type); ("body", Json.String body) ]
+  | Stats_reply snapshot -> record ~v:2 "stats" (snapshot_to_members snapshot)
   | Progress p ->
-    Json.Obj
+    record ~v:2 "progress"
       [
-        ("v", Json.Int 2);
-        ("type", Json.String "progress");
         ("id", Json.String p.progress_id);
         ("leakage_A", Json.Float p.progress_leakage_a);
         ("elapsed_s", Json.Float p.progress_elapsed_s);
         ("improvement", Json.Int p.improvement);
       ]
   | Cache_found { key; entry } ->
-    Json.Obj
-      ([ ("v", Json.Int min_version); ("type", Json.String "cache-found"); ("key", Json.String key) ]
-      @ entry_members entry)
-  | Cache_missing { key } ->
-    Json.Obj
-      [ ("v", Json.Int min_version); ("type", Json.String "cache-miss"); ("key", Json.String key) ]
+    record "cache-found" (("key", Json.String key) :: entry_members entry)
+  | Cache_missing { key } -> record "cache-miss" [ ("key", Json.String key) ]
   | Cache_ack { key; stored } ->
-    Json.Obj
-      [
-        ("v", Json.Int min_version);
-        ("type", Json.String "cache-ack");
-        ("key", Json.String key);
-        ("stored", Json.Bool stored);
-      ]
+    record "cache-ack" [ ("key", Json.String key); ("stored", Json.Bool stored) ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                             *)
@@ -451,52 +396,26 @@ let check_version json =
   | None -> Error "missing protocol version field \"v\""
 
 let method_of_json json =
-  let time_limit default =
-    match Option.bind (Json.member "time_limit_s" json) Json.to_float_opt with
-    | Some t when t > 0.0 -> Ok t
-    | Some _ -> Error "time_limit_s must be positive"
-    | None -> Ok default
-  in
   let* name = str_member "name" json in
-  match name with
-  | "heu1" -> Ok Optimizer.Heuristic_1
-  | "exact" -> Ok Optimizer.Exact
-  | "heu2" ->
-    let* time_limit_s = time_limit 2.0 in
-    Ok (Optimizer.Heuristic_2 { time_limit_s })
-  | "hc" ->
-    let* time_limit_s = time_limit 2.0 in
-    let* max_rounds =
-      match Option.bind (Json.member "rounds" json) Json.to_int_opt with
-      | Some r when r > 0 -> Ok r
-      | Some _ -> Error "rounds must be positive"
-      | None -> Ok 8
-    in
-    Ok (Optimizer.Hill_climb { time_limit_s; max_rounds })
-  | "greedy" ->
-    let* time_budget_s =
-      match Option.bind (Json.member "time_budget_ms" json) Json.to_int_opt with
-      | Some ms when ms > 0 -> Ok (float_of_int ms /. 1000.0)
-      | Some _ -> Error "time_budget_ms must be positive"
-      | None -> time_limit 2.0
-    in
-    Ok (Optimizer.Greedy { time_budget_s })
-  | "partition" ->
-    let* time_budget_s =
-      match Option.bind (Json.member "time_budget_ms" json) Json.to_int_opt with
-      | Some ms when ms > 0 -> Ok (float_of_int ms /. 1000.0)
-      | Some _ -> Error "time_budget_ms must be positive"
-      | None -> time_limit 2.0
-    in
-    let* regions =
-      match Option.bind (Json.member "regions" json) Json.to_int_opt with
-      | Some r when r >= 0 -> Ok r
-      | Some _ -> Error "regions must be non-negative (0 = automatic)"
-      | None -> Ok 0
-    in
-    Ok (Optimizer.Partition { time_budget_s; regions })
-  | other ->
-    Error (Printf.sprintf "unknown method %S (heu1|heu2|hc|exact|greedy|partition)" other)
+  let param key conv default =
+    match Json.member key json with
+    | None -> Ok default
+    | Some j -> (
+      match conv j with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "malformed method member %S" key))
+  in
+  let d = Optimizer.default_params in
+  (* Clients built before the budget moved to float seconds send an
+     integer "time_budget_ms"; running them under the default budget
+     would silently answer a different job. *)
+  if Json.member "time_budget_ms" json <> None then
+    Error "method \"time_budget_ms\" is no longer accepted: send \"time_limit_s\" in seconds"
+  else
+    let* time_limit_s = param "time_limit_s" Json.to_float_opt d.Optimizer.time_limit_s in
+    let* rounds = param "rounds" Json.to_int_opt d.Optimizer.rounds in
+    let* regions = param "regions" Json.to_int_opt d.Optimizer.regions in
+    Optimizer.method_of_token name { Optimizer.time_limit_s; rounds; regions }
 
 let source_of_json json =
   match (Json.member "circuit" json, Json.member "bench" json) with
@@ -528,51 +447,9 @@ let optimize_of_json json =
   let* method_ =
     match Json.member "method" json with
     | None -> Ok Optimizer.Heuristic_1
-    | Some (Json.String name) -> method_of_json (Json.Obj [ ("name", Json.String name) ])
+    | Some (Json.String name) -> Optimizer.method_of_token name Optimizer.default_params
     | Some (Json.Obj _ as m) -> method_of_json m
     | Some _ -> Error "\"method\" must be a string or an object"
-  in
-  (* v2's optional top-level "mode"/"time_budget_ms" pair (plus
-     "regions" for partition) overrides the method — a thin spelling for
-     anytime submissions that leaves every v1 frame (which carries none
-     of the fields) decoding exactly as before. *)
-  let* method_ =
-    let budget default =
-      match Json.member "time_budget_ms" json with
-      | None -> Ok default
-      | Some j -> (
-        match Json.to_int_opt j with
-        | Some ms when ms > 0 -> Ok (float_of_int ms /. 1000.0)
-        | _ -> Error "\"time_budget_ms\" must be a positive integer")
-    in
-    match Option.bind (Json.member "mode" json) Json.to_string_opt with
-    | None -> Ok method_
-    | Some "greedy" ->
-      let* time_budget_s =
-        budget
-          (match method_ with
-           | Optimizer.Greedy { time_budget_s } -> time_budget_s
-           | _ -> 2.0)
-      in
-      Ok (Optimizer.Greedy { time_budget_s })
-    | Some "partition" ->
-      let default_budget, default_regions =
-        match method_ with
-        | Optimizer.Partition { time_budget_s; regions } -> (time_budget_s, regions)
-        | Optimizer.Greedy { time_budget_s } -> (time_budget_s, 0)
-        | _ -> (2.0, 0)
-      in
-      let* time_budget_s = budget default_budget in
-      let* regions =
-        match Json.member "regions" json with
-        | None -> Ok default_regions
-        | Some j -> (
-          match Json.to_int_opt j with
-          | Some r when r >= 0 -> Ok r
-          | _ -> Error "\"regions\" must be a non-negative integer (0 = automatic)")
-      in
-      Ok (Optimizer.Partition { time_budget_s; regions })
-    | Some other -> Error (Printf.sprintf "unknown mode %S (greedy|partition)" other)
   in
   let* penalty =
     match Json.member "penalty" json with

@@ -10,8 +10,9 @@
     can handle it: a plain v1 verb stays [v:1] even when it carries the
     optional [trace] field (v1 decoders ignore unknown fields), while
     the v2-only surfaces — the [stats] verb, [progress] pushes, and
-    progress-requesting optimize jobs — say [v:2] so a v1 peer rejects
-    them loudly instead of mishandling them silently.  The codec is
+    optimize jobs that request progress or run greedy or partition —
+    say [v:2] so a v1 peer rejects them loudly instead of mishandling
+    them silently.  The codec is
     {!Standby_telemetry.Json} — the writer emits no raw newlines, so
     one record is always one line.
 
@@ -55,6 +56,11 @@ type optimize = {
   source : source;
   mode : Standby_cells.Version.mode;
   method_ : Standby_opt.Optimizer.method_;
+      (** On the wire, the [method] object: the
+          {!Standby_opt.Optimizer.method_token} under [name] plus the
+          method's parameters ([time_limit_s] in float seconds,
+          [rounds], [regions]).  A bare name string decodes with the
+          default parameters. *)
   penalty : float;
   deadline_s : float option;
       (** Wall-clock budget; a blown deadline returns the best incumbent

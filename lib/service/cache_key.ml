@@ -55,15 +55,15 @@ let canonical net =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let method_descriptor = function
-  | Optimizer.Heuristic_1 -> "heu1"
-  | Optimizer.Heuristic_2 { time_limit_s } -> Printf.sprintf "heu2:%.9g" time_limit_s
-  | Optimizer.Hill_climb { time_limit_s; max_rounds } ->
-    Printf.sprintf "hc:%.9g:%d" time_limit_s max_rounds
-  | Optimizer.Exact -> "exact"
-  | Optimizer.Greedy { time_budget_s } -> Printf.sprintf "greedy:%.9g" time_budget_s
-  | Optimizer.Partition { time_budget_s; regions } ->
-    Printf.sprintf "partition:%.9g:r%d" time_budget_s regions
+let method_descriptor m =
+  String.concat ":"
+    (Optimizer.method_token m
+    :: List.map
+         (function
+           | Optimizer.Time_limit t -> Printf.sprintf "%.9g" t
+           | Optimizer.Rounds r -> string_of_int r
+           | Optimizer.Regions k -> Printf.sprintf "r%d" k)
+         (Optimizer.method_params m))
 
 let mode_descriptor (mode : Version.mode) =
   Printf.sprintf "points=%s uniform-vt=%b high-vt=%b thick-tox=%b reorder=%b"

@@ -16,6 +16,10 @@ type resolved = {
   process : Standby_device.Process.t;
 }
 
+val load_netlist : Manifest.source -> (Standby_netlist.Netlist.t, string) result
+(** A built-in benchmark, or a [.v] (gate-level Verilog) or [.bench]
+    file chosen by suffix. *)
+
 val resolve : Manifest.job -> (resolved, string) result
 
 val key : resolved -> string

@@ -82,19 +82,14 @@ let fallback job defaults =
   }
 
 let build_method s =
-  let time_limit = Option.value s.time_limit ~default:2.0 in
-  let rounds = Option.value s.rounds ~default:8 in
-  match Option.value s.method_name ~default:"heu1" with
-  | "heu1" -> Ok Optimizer.Heuristic_1
-  | "heu2" -> Ok (Optimizer.Heuristic_2 { time_limit_s = time_limit })
-  | "hc" -> Ok (Optimizer.Hill_climb { time_limit_s = time_limit; max_rounds = rounds })
-  | "exact" -> Ok Optimizer.Exact
-  | "greedy" -> Ok (Optimizer.Greedy { time_budget_s = time_limit })
-  | "partition" ->
-    Ok
-      (Optimizer.Partition
-         { time_budget_s = time_limit; regions = Option.value s.regions ~default:0 })
-  | m -> Error (Printf.sprintf "unknown method %S (heu1|heu2|hc|exact|greedy|partition)" m)
+  let d = Optimizer.default_params in
+  Optimizer.method_of_token
+    (Option.value s.method_name ~default:(Optimizer.method_token Optimizer.Heuristic_1))
+    {
+      Optimizer.time_limit_s = Option.value s.time_limit ~default:d.Optimizer.time_limit_s;
+      rounds = Option.value s.rounds ~default:d.Optimizer.rounds;
+      regions = Option.value s.regions ~default:d.Optimizer.regions;
+    }
 
 let finish_job ~dir ~line id s defaults =
   let s = fallback s defaults in
@@ -149,16 +144,13 @@ let parse_key_value ~line key value s =
     match mode_of_string value with
     | Ok mode -> Ok { s with library = Some mode }
     | Error m -> err "%s" m)
-  | "method" ->
-    if List.mem value [ "heu1"; "heu2"; "hc"; "exact"; "greedy"; "partition" ] then
-      Ok { s with method_name = Some value }
-    else err "unknown method %S (heu1|heu2|hc|exact|greedy|partition)" value
+  | "method" -> (
+    match Optimizer.method_of_token value Optimizer.default_params with
+    | Ok _ -> Ok { s with method_name = Some value }
+    | Error m -> err "%s" m)
   | "time-limit" -> Result.map (fun f -> { s with time_limit = Some f }) (float_value ())
   | "rounds" -> Result.map (fun i -> { s with rounds = Some i }) (int_value ())
-  | "regions" ->
-    Result.bind (int_value ()) (fun i ->
-        if i < 0 then err "regions must be non-negative (0 = automatic)"
-        else Ok { s with regions = Some i })
+  | "regions" -> Result.map (fun i -> { s with regions = Some i }) (int_value ())
   | "penalty" -> Result.map (fun f -> { s with penalty = Some f }) (float_value ())
   | "deadline" -> Result.map (fun f -> { s with deadline = Some f }) (float_value ())
   | "process" -> Ok { s with process = Some value }

@@ -20,10 +20,11 @@
     v}
 
     Recognized keys: [circuit] or [file] (exactly one per job),
-    [library] (a {!Standby_cells.Version.mode} name), [method]
-    (heu1|heu2|hc|exact), [time-limit] (seconds, for heu2/hc),
-    [rounds] (hill-climbing rounds), [penalty] (delay penalty
-    fraction), [deadline] (wall-clock seconds; jobs that blow it
+    [library] (a {!Standby_cells.Version.mode} name), [method] (a
+    {!Standby_opt.Optimizer.method_token}), [time-limit] (seconds:
+    the heu2/hc limit and the greedy/partition budget), [rounds]
+    (hill-climbing rounds), [regions] (partition regions, 0 =
+    automatic), [penalty] (delay penalty fraction), [deadline] (wall-clock seconds; jobs that blow it
     return their best incumbent marked degraded), [process] (a
     {!Standby_device.Process_config} override file).  Relative [file]
     and [process] paths resolve against the manifest's directory. *)

@@ -208,9 +208,22 @@ let test_codec_roundtrip () =
   roundtrip_request
     (optimize ~method_:(Optimizer.Hill_climb { time_limit_s = 0.5; max_rounds = 3 }) ());
   roundtrip_request (optimize ~method_:Optimizer.Exact ());
-  (* Greedy rides the v2 window: the frame gains mode/time_budget_ms
-     members and must decode back to the same method. *)
-  roundtrip_request (optimize ~method_:(Optimizer.Greedy { time_budget_s = 2.0 }) ());
+  (* The anytime budgets travel as float seconds: a value that is not a
+     whole number of milliseconds, or is under one, must come back
+     exactly, or the served digest parts from the offline one.  Both
+     methods ride the v2 window. *)
+  List.iter
+    (fun method_ ->
+      let r = optimize ~method_ () in
+      roundtrip_request r;
+      check (Alcotest.option Alcotest.int) "anytime frames say v:2" (Some 2)
+        (Option.bind (Json.member "v" (Protocol.request_to_json r)) Json.to_int_opt))
+    [
+      Optimizer.Greedy { time_budget_s = 2.0 };
+      Optimizer.Greedy { time_budget_s = 1.2345 };
+      Optimizer.Partition { time_budget_s = 0.0004; regions = 2 };
+      Optimizer.Partition { time_budget_s = 3.0; regions = 0 };
+    ];
   roundtrip_request Protocol.Status;
   roundtrip_request Protocol.Metrics;
   roundtrip_request (Protocol.Cache_get { key = "0123456789abcdef" });
@@ -372,6 +385,25 @@ let test_status_decodes_precluster () =
   | Ok r -> Alcotest.failf "expected a status reply, got %s" (show_response r)
   | Error msg -> Alcotest.failf "pre-cluster status: %s" msg
 
+(* The tree-search frames are what every deployed peer speaks: their
+   bytes may not move. *)
+let test_optimize_frames_pinned () =
+  let frame method_ =
+    Json.to_string (Protocol.request_to_json (optimize ~id:"x" ~method_ ()))
+  in
+  let pinned m =
+    {|{"v":1,"type":"optimize","id":"x","circuit":"c432","library":"4opt","method":|} ^ m
+    ^ {|,"penalty":0.050000000000000003}|}
+  in
+  check Alcotest.string "heu1" (pinned {|{"name":"heu1"}|}) (frame Optimizer.Heuristic_1);
+  check Alcotest.string "heu2"
+    (pinned {|{"name":"heu2","time_limit_s":1.5}|})
+    (frame (Optimizer.Heuristic_2 { time_limit_s = 1.5 }));
+  check Alcotest.string "hc"
+    (pinned {|{"name":"hc","time_limit_s":0.5,"rounds":3}|})
+    (frame (Optimizer.Hill_climb { time_limit_s = 0.5; max_rounds = 3 }));
+  check Alcotest.string "exact" (pinned {|{"name":"exact"}|}) (frame Optimizer.Exact)
+
 let test_codec_rejects () =
   let req s = Result.bind (Json.of_string s) Protocol.request_of_json in
   let expect ~sub name = function
@@ -384,7 +416,14 @@ let test_codec_rejects () =
   expect ~sub:"type" "unknown type" (req {|{"v":1,"type":"frobnicate"}|});
   expect ~sub:"circuit" "no source" (req {|{"v":1,"type":"optimize","id":"x"}|});
   expect ~sub:"method" "bad method"
-    (req {|{"v":1,"type":"optimize","id":"x","circuit":"c432","method":"annealing"}|})
+    (req {|{"v":1,"type":"optimize","id":"x","circuit":"c432","method":"annealing"}|});
+  expect ~sub:"rounds must be positive" "zero rounds"
+    (req {|{"v":1,"type":"optimize","id":"x","circuit":"c432","method":{"name":"hc","rounds":0}}|});
+  (* A client built before the budget moved to float seconds: refused,
+     never run under the default budget. *)
+  expect ~sub:"time_limit_s" "millisecond budget"
+    (req
+       {|{"v":2,"type":"optimize","id":"x","circuit":"c432","method":{"name":"greedy","time_budget_ms":1235},"penalty":0.05,"mode":"greedy","time_budget_ms":1235}|})
 
 let test_addresses () =
   check Alcotest.bool "unix: prefix" true
@@ -465,7 +504,7 @@ let test_progress_stream () =
           check_matches_offline "progress stream" p ~penalty:0.05 Optimizer.Heuristic_1))
 
 (* Greedy over the wire: an optimize frame carrying the greedy method
-   (stamped v2 with mode/time_budget_ms members) streams incumbents
+   (stamped v2, its budget in the method object) streams incumbents
    like any progress job, and its terminal result is bit-identical to
    an offline greedy run with the same budget — c432 reaches greedy
    quiescence in milliseconds, so the 5 s ceiling never cuts in and
@@ -909,6 +948,7 @@ let () =
           quick "v2 codec round trips" test_codec_roundtrip_v2;
           quick "trace field round trips" test_trace_field_roundtrip;
           quick "version window" test_version_window;
+          quick "optimize frames are pinned" test_optimize_frames_pinned;
           quick "codec rejects" test_codec_rejects;
           quick "pre-cluster status decodes" test_status_decodes_precluster;
           quick "addresses" test_addresses;

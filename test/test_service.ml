@@ -126,7 +126,17 @@ let test_manifest_errors () =
     (parse "[job a]\ncircuit = c432\ndeadline = 0\n");
   check_error ~sub:"unterminated" "unterminated header" (parse "[job a\ncircuit = c432\n");
   check_error ~sub:"malformed number" "bad float"
-    (parse "[job a]\ncircuit = c432\npenalty = lots\n")
+    (parse "[job a]\ncircuit = c432\npenalty = lots\n");
+  (* The method table validates the parameters a method takes, with the
+     same messages the CLI and the wire give. *)
+  check_error ~sub:"rounds must be positive" "zero hc rounds"
+    (parse "[job a]\ncircuit = c432\nmethod = hc\nrounds = 0\n");
+  check_error ~sub:"time limit must be positive" "negative hc time limit"
+    (parse "[job a]\ncircuit = c432\nmethod = hc\ntime-limit = -5\n");
+  check_error ~sub:"time limit must be positive" "zero greedy budget"
+    (parse "[job a]\ncircuit = c432\nmethod = greedy\ntime-limit = 0\n");
+  check_error ~sub:"regions must be non-negative" "negative regions"
+    (parse "[job a]\ncircuit = c432\nmethod = partition\nregions = -1\n")
 
 (* ------------------------------------------------------------------ *)
 (* Cache keys                                                           *)
@@ -199,7 +209,18 @@ let test_digest_sensitivity () =
     (digest ~method_:(Optimizer.Hill_climb { time_limit_s = 1.0; max_rounds = 4 }) ());
   check Alcotest.bool "method parameters are part of the descriptor" false
     (Cache_key.method_descriptor (Optimizer.Heuristic_2 { time_limit_s = 1.0 })
-    = Cache_key.method_descriptor (Optimizer.Heuristic_2 { time_limit_s = 2.0 }))
+    = Cache_key.method_descriptor (Optimizer.Heuristic_2 { time_limit_s = 2.0 }));
+  (* Stored digests hash these strings: they may not move. *)
+  List.iter
+    (fun (want, m) -> check Alcotest.string want want (Cache_key.method_descriptor m))
+    [
+      ("heu1", Optimizer.Heuristic_1);
+      ("heu2:1.5", Optimizer.Heuristic_2 { time_limit_s = 1.5 });
+      ("hc:0.5:3", Optimizer.Hill_climb { time_limit_s = 0.5; max_rounds = 3 });
+      ("exact", Optimizer.Exact);
+      ("greedy:1.2345", Optimizer.Greedy { time_budget_s = 1.2345 });
+      ("partition:0.0004:r2", Optimizer.Partition { time_budget_s = 0.0004; regions = 2 });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Result store                                                         *)
