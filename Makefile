@@ -11,7 +11,7 @@ ci:
 	dune build @ci
 
 bench:
-	dune exec bench/main.exe
+	dune exec bin/standbyopt.exe -- report
 
 clean:
 	dune clean

@@ -994,15 +994,7 @@ let run_report telemetry quick vectors jobs artifacts =
     }
   in
   let t = Experiments.create ~config () in
-  let wanted name = List.mem "all" artifacts || List.mem name artifacts in
-  let known = ref false in
-  List.iter
-    (fun (name, render) ->
-      if wanted name then begin
-        known := true;
-        print_endline (render ());
-        print_newline ()
-      end)
+  let renderers =
     [
       ("table1", fun () -> Experiments.table1 t);
       ("table2", fun () -> Experiments.table2 t);
@@ -1013,14 +1005,26 @@ let run_report telemetry quick vectors jobs artifacts =
       ("figure2", fun () -> Experiments.figure2 t);
       ("figure3", fun () -> Experiments.figure3 t);
       ("figure4", fun () -> Experiments.figure4 t);
-      ("figure5", fun () -> Experiments.figure5 t);
+      ("figure5", fun () -> Experiments.figure5 ~csv_path:"figure5.csv" t);
       ("ablation", fun () -> Experiments.ablation t);
-    ];
-  if !known then 0
-  else begin
-    Printf.eprintf "error: no known artifact among: %s\n" (String.concat " " artifacts);
+    ]
+  in
+  let known = "all" :: List.map fst renderers in
+  match List.filter (fun a -> not (List.mem a known)) artifacts with
+  | [] ->
+    let wanted name = List.mem "all" artifacts || List.mem name artifacts in
+    List.iter
+      (fun (name, render) ->
+        if wanted name then begin
+          print_endline (render ());
+          print_newline ()
+        end)
+      renderers;
+    0
+  | unknown ->
+    Printf.eprintf "error: unknown artifact(s): %s\nknown: %s\n"
+      (String.concat " " unknown) (String.concat " " known);
     1
-  end
 
 let report_cmd =
   let info = Cmd.info "report" ~doc:"Regenerate the paper's tables and figures" in

@@ -1,11 +1,10 @@
 (** A minimal JSON value, writer and parser.
 
-    The telemetry formats (JSONL traces, metrics exports,
-    [BENCH_results.json]) need machine-readable output and the
-    [trace summarize] command needs to read it back; no JSON library is
-    vendored, so this is the small shared dialect.  The writer never
-    emits non-JSON tokens: [nan] and infinities become [null], so every
-    produced document reparses. *)
+    The telemetry formats (JSONL traces, metrics exports) need
+    machine-readable output and the [trace summarize] command needs to
+    read it back; no JSON library is vendored, so this is the small
+    shared dialect.  The writer never emits non-JSON tokens: [nan] and
+    infinities become [null], so every produced document reparses. *)
 
 type t =
   | Null

@@ -516,6 +516,60 @@ let test_greedy_rejects_slew_only_violation () =
   check Alcotest.bool "delay within budget under a full STA" true
     (r.Optimizer.delay <= r.Optimizer.budget *. (1.0 +. 1e-9))
 
+(* Greedy scaling to quiescence on generated netlists: seed 11, inputs
+   and locality window scaled with the gate count, each point doubling
+   the previous one.  Near-linear means
+   the work per doubling stays well below the 4.0x a quadratic optimizer
+   shows.  The gate counts work, not wall time: STA worklist pops and
+   greedy heap pops are exact and repeat bit-for-bit, so the bounds need
+   no allowance for host noise.  Measured pops per gate are about 165 /
+   173 / 219 (worklist) and 1.95 (heap), so ratios of 2.10, 2.53 and 2.0.
+   Cost per pop (cache effects at scale) is left to the wall time of the
+   greedy-20k benchmark workload.  The 300 s budget is a ceiling only;
+   every point reaches quiescence long before it. *)
+
+let worklist_pops = Standby_telemetry.Metrics.(counter default "sta.worklist_pops")
+
+let heap_pops = Standby_telemetry.Metrics.(counter default "greedy.heap_pops")
+
+let greedy_scaling_point gates =
+  let net =
+    Standby_circuits.Random_logic.generate ~seed:11 ~inputs:(max 64 (gates / 100))
+      ~window:(max 60 (gates / 20)) ~gates ()
+  in
+  let value = Standby_telemetry.Metrics.counter_value in
+  let sta0 = value worklist_pops and heap0 = value heap_pops in
+  let r = Optimizer.run lib net ~penalty:0.05 (Optimizer.Greedy { time_budget_s = 300.0 }) in
+  if not (r.Optimizer.delay <= r.Optimizer.budget) then
+    Alcotest.failf "%d gates: delay %.6g above budget %.6g" gates r.Optimizer.delay
+      r.Optimizer.budget;
+  (value worklist_pops - sta0, value heap_pops - heap0, r)
+
+let test_greedy_scaling_near_linear () =
+  let points = List.map greedy_scaling_point [ 5_000; 10_000; 20_000 ] in
+  (* The premise of gating on counts: they repeat exactly. *)
+  let sta5k, heap5k, r5k = List.hd points in
+  let sta5k', heap5k', r5k' = greedy_scaling_point 5_000 in
+  check Alcotest.int "5k worklist pops repeat" sta5k sta5k';
+  check Alcotest.int "5k heap pops repeat" heap5k heap5k';
+  check Alcotest.string "5k assignment repeats"
+    (Assignment.to_string r5k.Optimizer.assignment)
+    (Assignment.to_string r5k'.Optimizer.assignment);
+  let ratio a b = float_of_int b /. float_of_int a in
+  let rec doublings = function
+    | (sta, heap, _) :: ((sta', heap', _) :: _ as rest) ->
+      let sta_x = ratio sta sta' and heap_x = ratio heap heap' in
+      if sta_x > 3.0 then
+        Alcotest.failf "worklist pops %d -> %d: %.2fx per doubling (bound 3.0)" sta sta'
+          sta_x;
+      if heap_x > 2.5 then
+        Alcotest.failf "heap pops %d -> %d: %.2fx per doubling (bound 2.5)" heap heap'
+          heap_x;
+      doublings rest
+    | _ -> ()
+  in
+  doublings points
+
 (* ---------------------------- Search stats ------------------------- *)
 
 let test_stats_merge () =
@@ -584,6 +638,8 @@ let () =
           QCheck_alcotest.to_alcotest test_greedy_unblock_never_worse;
           quick "unblock recovers leakage on c880" test_greedy_unblock_recovers_leakage;
           quick "rejects a slew-only output violation" test_greedy_rejects_slew_only_violation;
+          Alcotest.test_case "scaling near-linear in counted work" `Slow
+            test_greedy_scaling_near_linear;
         ] );
       ("stats", [ quick "merge" test_stats_merge ]);
     ]
