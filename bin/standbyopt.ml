@@ -110,12 +110,12 @@ let install_telemetry ?role ?(quiet = false) t =
 
 let mode_conv =
   Arg.conv
-    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (Manifest.mode_of_string s)),
-      fun fmt m -> Format.pp_print_string fmt (Version.mode_name m) )
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (Version.mode_of_token s)),
+      fun fmt m -> Format.pp_print_string fmt (Version.mode_token m) )
 
 let mode_arg =
   let doc =
-    "Cell library mode: 4opt, 2opt, 4opt-uniform, 2opt-uniform, vt-state or state-only."
+    "Cell library mode: one of " ^ String.concat ", " (List.map fst Version.mode_tokens) ^ "."
   in
   Arg.(value & opt mode_conv Version.default_mode & info [ "library" ] ~docv:"MODE" ~doc)
 
@@ -196,7 +196,7 @@ let method_arg =
   in
   Arg.(
     value & opt method_conv Optimizer.Heuristic_1
-    & info [ "m"; "method"; "mode" ] ~docv:"METHOD" ~doc)
+    & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
 
 let regions_arg =
   let doc =

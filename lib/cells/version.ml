@@ -41,6 +41,29 @@ let mode_name m =
     in
     if m.uniform_stack_vt then points ^ " uniform-stack" else points
 
+let mode_tokens =
+  [
+    ("4opt", default_mode);
+    ("2opt", two_option_mode);
+    ("4opt-uniform", uniform_stack_mode);
+    ("2opt-uniform", two_option_uniform_stack_mode);
+    ("vt-state", vt_and_state_mode);
+    ("state-only", state_only_mode);
+  ]
+
+let mode_of_token s =
+  match List.assoc_opt s mode_tokens with
+  | Some mode -> Ok mode
+  | None ->
+    Error
+      (Printf.sprintf "unknown library mode %S (known: %s)" s
+         (String.concat ", " (List.map fst mode_tokens)))
+
+let mode_token mode =
+  match List.find_opt (fun (_, m) -> m = mode) mode_tokens with
+  | Some (token, _) -> token
+  | None -> mode_name mode
+
 type role = Min_delay | Min_leakage | Fast_rise | Fast_fall
 
 let role_name = function

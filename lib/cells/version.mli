@@ -46,6 +46,21 @@ val state_only_mode : mode
     optimization reduces to pure state assignment. *)
 
 val mode_name : mode -> string
+(** Display name, as printed in results and reports ("4-option",
+    "vt+state", ...). *)
+
+val mode_tokens : (string * mode) list
+(** The configuration token of each mode above, in the order listed:
+    4opt, 2opt, 4opt-uniform, 2opt-uniform, vt-state, state-only.  The
+    one table the CLI's [--library], a manifest's [library] key and the
+    server protocol's ["library"] member read and write. *)
+
+val mode_of_token : string -> (mode, string) result
+(** Look a token up in {!mode_tokens}; the error names every token. *)
+
+val mode_token : mode -> string
+(** Inverse of {!mode_of_token}.  A mode outside {!mode_tokens} (say,
+    pin reordering off) has no token and gets its {!mode_name}. *)
 
 type role = Min_delay | Min_leakage | Fast_rise | Fast_fall
 

@@ -27,7 +27,7 @@ let m_unblocks =
    count — each round pushes at most one candidate move per gate — so
    the arrays are allocated once and reused across rounds.  Pop order is
    deterministic for a deterministic push sequence, which is what makes
-   a greedy run reproducible for a fixed seed and budget. *)
+   a greedy run reproducible for a fixed budget. *)
 module Heap = struct
   type t = { mutable size : int; score : float array; id : int array }
 
@@ -124,13 +124,12 @@ let min_leak_table lib =
    replaces the generated vectors when given (the partition path feeds
    the admissible region vectors through here); an empty list falls
    back to the generated set so the scan always returns a vector. *)
-let seed_scan ?(seed = 0) ?(seed_candidates = 8) ?candidates ~stats lib net =
+let seed_scan ?candidates ~stats lib net =
   let min_leak = min_leak_table lib in
   let vectors =
     match candidates with
     | Some (_ :: _ as l) -> l
-    | Some [] | None ->
-      seed_vectors ~seed ~count:(max 2 seed_candidates) (Netlist.input_count net)
+    | Some [] | None -> seed_vectors ~seed:0 ~count:8 (Netlist.input_count net)
   in
   let best = ref infinity in
   let best_vec = ref [||] and best_values = ref [||] and best_states = ref [||] in
@@ -191,7 +190,7 @@ let sensitivity sta max_factors id kind arity (options : Version.option_entry ar
   let delta_leak = options.(c).Version.leakage -. options.(t).Version.leakage in
   delta_leak /. Float.max delta_delay 1e-15
 
-let run ?(seed = 0) ?(seed_candidates = 8) ?candidates ?(unblock = true)
+let run ?candidates ?(unblock = true)
     ?(on_incumbent = fun _ -> ()) ?(interrupt = fun () -> false) ~stats ~timer lib sta =
  Telemetry.span "greedy.run" (fun () ->
   let net = Sta.netlist sta in
@@ -199,7 +198,7 @@ let run ?(seed = 0) ?(seed_candidates = 8) ?candidates ?(unblock = true)
   let gates = Netlist.gate_count net in
   (* Seed: scan the candidate sleep vectors and keep the one with the
      smallest unconstrained leakage bound. *)
-  let vector, _, states = seed_scan ~seed ~seed_candidates ?candidates ~stats lib net in
+  let vector, _, states = seed_scan ?candidates ~stats lib net in
   (* Start from the all-fast assignment for that vector: always
      delay-feasible (the budget is at least the all-fast delay), so the
      anytime contract holds from the first incumbent on. *)

@@ -24,8 +24,8 @@
     The anytime contract: the seed incumbent is emitted before any work,
     every emission is strictly leakage-improving and delay-feasible, and
     an expired timer stops the run at the next candidate boundary with
-    the best incumbent intact.  For a fixed seed and a budget large
-    enough to reach quiescence the result is deterministic.
+    the best incumbent intact.  For a budget large enough to reach
+    quiescence the result is deterministic.
 
     Emits the [greedy.swaps], [greedy.backoffs], [greedy.rounds],
     [greedy.heap_pops] and [greedy.unblocks] telemetry counters. *)
@@ -38,8 +38,6 @@ val seed_vectors : seed:int -> count:int -> int -> bool array list
     arguments return identical vectors. *)
 
 val seed_scan :
-  ?seed:int ->
-  ?seed_candidates:int ->
   ?candidates:bool array list ->
   stats:Search_stats.t ->
   Standby_cells.Library.t ->
@@ -51,11 +49,9 @@ val seed_scan :
     values, and the gate states they induce.  [candidates] replaces the
     generated vectors when non-empty (the partitioned optimizer feeds
     each region's admissible vectors through here); an empty or absent
-    list uses {!seed_vectors}. *)
+    list scans [seed_vectors ~seed:0 ~count:8]. *)
 
 val run :
-  ?seed:int ->
-  ?seed_candidates:int ->
   ?candidates:bool array list ->
   ?unblock:bool ->
   ?on_incumbent:(State_tree.leaf -> unit) ->
@@ -67,11 +63,9 @@ val run :
   State_tree.outcome
 (** [run ~stats ~timer lib sta] — [sta] must carry the delay budget
     (see {!Standby_timing.Sta.set_budget}); its assignment is clobbered.
-    [seed] (default 0) parameterizes the deterministic sleep-vector
-    candidates; [seed_candidates] (default 8, minimum 2) is how many are
-    scanned; [candidates], when non-empty, replaces the generated
-    vectors entirely (see {!seed_scan}).  [unblock] (default [true])
-    enables re-admission of slack-parked gates.  [on_incumbent] fires on
+    The seed vector comes from {!seed_scan}; [candidates], when
+    non-empty, replaces its generated vectors entirely.  [unblock]
+    (default [true]) enables re-admission of slack-parked gates.  [on_incumbent] fires on
     the seed solution and then on every improvement, including mid-round
     every few thousand swaps; [interrupt] is polled at candidate
     boundaries.  At least the seed incumbent is always produced, even on

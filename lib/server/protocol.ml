@@ -3,7 +3,6 @@ module Metrics = Standby_telemetry.Metrics
 module Telemetry = Standby_telemetry.Telemetry
 module Version = Standby_cells.Version
 module Optimizer = Standby_opt.Optimizer
-module Manifest = Standby_service.Manifest
 module Result_store = Standby_service.Result_store
 
 (* v2 adds the optional "trace" field (carried on every verb, ignored
@@ -78,6 +77,9 @@ type request =
   | Metrics
   | Stats
   | Cache_get of { key : string }
+  (* A cache entry travels as [Result_store.entry_members] after the
+     frame's key: the store's own file format, so a shared-tier hit is
+     bit-identical to the entry the peer computed. *)
   | Cache_put of { key : string; entry : Result_store.entry }
   | Drain of { backend : string option }
 
@@ -164,24 +166,6 @@ let method_to_json m =
            | Optimizer.Regions k -> ("regions", Json.Int k))
          (Optimizer.method_params m))
 
-(* A cached result on the wire: the same fields the on-disk store keeps,
-   at full float precision (the codec prints %.17g) so a shared-tier hit
-   is bit-identical to the entry the peer computed. *)
-let entry_members (e : Result_store.entry) =
-  [
-    ("method", Json.String e.Result_store.method_name);
-    ("penalty", Json.Float e.Result_store.penalty);
-    ("budget", Json.Float e.Result_store.budget);
-    ("delay", Json.Float e.Result_store.delay);
-    ("delay_fast", Json.Float e.Result_store.delay_fast);
-    ("delay_slow", Json.Float e.Result_store.delay_slow);
-    ("total", Json.Float e.Result_store.total);
-    ("isub", Json.Float e.Result_store.isub);
-    ("igate", Json.Float e.Result_store.igate);
-    ("runtime_s", Json.Float e.Result_store.runtime_s);
-    ("assignment", Json.String e.Result_store.assignment);
-  ]
-
 (* The optional cross-process trace context, carried verbatim on any
    request verb.  v1 decoders ignore unknown fields, so its presence
    does not bump the frame version. *)
@@ -231,7 +215,7 @@ let request_to_json ?trace request =
   | Stats -> frame ~v:2 "stats" []
   | Cache_get { key } -> frame "cache-get" [ ("key", Json.String key) ]
   | Cache_put { key; entry } ->
-    frame "cache-put" (("key", Json.String key) :: entry_members entry)
+    frame "cache-put" (("key", Json.String key) :: Result_store.entry_members entry)
   | Drain { backend } ->
     frame "drain"
       (match backend with None -> [] | Some b -> [ ("backend", Json.String b) ])
@@ -253,7 +237,7 @@ let request_to_json ?trace request =
       "optimize"
       ((("id", Json.String o.id) :: source_members)
       @ [
-          ("library", Json.String (Manifest.mode_token o.mode));
+          ("library", Json.String (Version.mode_token o.mode));
           ("method", method_to_json o.method_);
           ("penalty", Json.Float o.penalty);
         ]
@@ -361,7 +345,7 @@ let response_to_json = function
         ("improvement", Json.Int p.improvement);
       ]
   | Cache_found { key; entry } ->
-    record "cache-found" (("key", Json.String key) :: entry_members entry)
+    record "cache-found" (("key", Json.String key) :: Result_store.entry_members entry)
   | Cache_missing { key } -> record "cache-miss" [ ("key", Json.String key) ]
   | Cache_ack { key; stored } ->
     record "cache-ack" [ ("key", Json.String key); ("stored", Json.Bool stored) ]
@@ -442,7 +426,7 @@ let optimize_of_json json =
   let* mode =
     match Option.bind (Json.member "library" json) Json.to_string_opt with
     | None -> Ok Version.default_mode
-    | Some s -> Manifest.mode_of_string s
+    | Some s -> Version.mode_of_token s
   in
   let* method_ =
     match Json.member "method" json with
@@ -472,24 +456,6 @@ let optimize_of_json json =
   in
   Ok (Optimize { id; source; mode; method_; penalty; deadline_s; progress })
 
-let entry_of_json json =
-  let* method_name = str_member "method" json in
-  let* penalty = float_member "penalty" json in
-  let* budget = float_member "budget" json in
-  let* delay = float_member "delay" json in
-  let* delay_fast = float_member "delay_fast" json in
-  let* delay_slow = float_member "delay_slow" json in
-  let* total = float_member "total" json in
-  let* isub = float_member "isub" json in
-  let* igate = float_member "igate" json in
-  let* runtime_s = float_member "runtime_s" json in
-  let* assignment = str_member "assignment" json in
-  Ok
-    {
-      Result_store.method_name; penalty; budget; delay; delay_fast; delay_slow; total;
-      isub; igate; runtime_s; assignment;
-    }
-
 let key_member json =
   let* key = str_member "key" json in
   if key = "" then Error "\"key\" must be a non-empty digest" else Ok key
@@ -507,7 +473,7 @@ let request_of_json json =
     Ok (Cache_get { key })
   | "cache-put" ->
     let* key = key_member json in
-    let* entry = entry_of_json json in
+    let* entry = Result_store.entry_of_json json in
     Ok (Cache_put { key; entry })
   | "drain" ->
     let backend = Option.bind (Json.member "backend" json) Json.to_string_opt in
@@ -683,7 +649,7 @@ let response_of_json json =
     Ok (Metrics_reply { content_type; body })
   | "cache-found" ->
     let* key = key_member json in
-    let* entry = entry_of_json json in
+    let* entry = Result_store.entry_of_json json in
     Ok (Cache_found { key; entry })
   | "cache-miss" ->
     let* key = key_member json in

@@ -15,28 +15,6 @@ type job = {
 
 let source_name = function Builtin name -> name | File path -> Filename.basename path
 
-let mode_names = [ "4opt"; "2opt"; "4opt-uniform"; "2opt-uniform"; "vt-state"; "state-only" ]
-
-let mode_of_string = function
-  | "4opt" -> Ok Version.default_mode
-  | "2opt" -> Ok Version.two_option_mode
-  | "4opt-uniform" -> Ok Version.uniform_stack_mode
-  | "2opt-uniform" -> Ok Version.two_option_uniform_stack_mode
-  | "vt-state" -> Ok Version.vt_and_state_mode
-  | "state-only" -> Ok Version.state_only_mode
-  | s ->
-    Error
-      (Printf.sprintf "unknown library mode %S (known: %s)" s (String.concat ", " mode_names))
-
-let mode_token mode =
-  match
-    List.find_opt
-      (fun name -> mode_of_string name = Ok mode)
-      mode_names
-  with
-  | Some name -> name
-  | None -> Version.mode_name mode
-
 (* Per-job settings accumulated while scanning a section; [None] falls
    back to the defaults section, then to built-in defaults. *)
 type settings = {
@@ -141,7 +119,7 @@ let parse_key_value ~line key value s =
   | "circuit" -> Ok { s with circuit = Some value }
   | "file" -> Ok { s with file = Some value }
   | "library" -> (
-    match mode_of_string value with
+    match Version.mode_of_token value with
     | Ok mode -> Ok { s with library = Some mode }
     | Error m -> err "%s" m)
   | "method" -> (

@@ -20,7 +20,7 @@
     v}
 
     Recognized keys: [circuit] or [file] (exactly one per job),
-    [library] (a {!Standby_cells.Version.mode} name), [method] (a
+    [library] (a {!Standby_cells.Version.mode_tokens} token), [method] (a
     {!Standby_opt.Optimizer.method_token}), [time-limit] (seconds:
     the heu2/hc limit and the greedy/partition budget), [rounds]
     (hill-climbing rounds), [regions] (partition regions, 0 =
@@ -44,17 +44,6 @@ type job = {
 }
 
 val source_name : source -> string
-
-val mode_of_string : string -> (Standby_cells.Version.mode, string) result
-(** The CLI's library-mode names (4opt, 2opt, 4opt-uniform,
-    2opt-uniform, vt-state, state-only). *)
-
-val mode_names : string list
-
-val mode_token : Standby_cells.Version.mode -> string
-(** The inverse of {!mode_of_string} — the manifest/CLI name of a mode,
-    suitable for round-tripping through configuration and wire
-    formats. *)
 
 val parse : ?dir:string -> string -> (job list, string) result
 (** Parse manifest text.  Errors carry a line number.  [dir] anchors

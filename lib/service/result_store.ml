@@ -1,3 +1,4 @@
+module Json = Standby_telemetry.Json
 module Metrics = Standby_telemetry.Metrics
 
 let m_hits = Metrics.counter Metrics.default "result_store.hits" ~help:"Cache entries served"
@@ -51,8 +52,6 @@ type t = {
   mutable remote : remote option;
 }
 
-let magic = "standbyopt-result 1"
-
 let rec mkdir_p dir =
   if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -92,76 +91,49 @@ let valid_key key =
 
 let path t ~key = Filename.concat t.dir (key ^ ".result")
 
-let to_text entry =
-  String.concat "\n"
-    [
-      magic;
-      "method " ^ entry.method_name;
-      Printf.sprintf "penalty %.17g" entry.penalty;
-      Printf.sprintf "budget %.17g" entry.budget;
-      Printf.sprintf "delay %.17g" entry.delay;
-      Printf.sprintf "delay_fast %.17g" entry.delay_fast;
-      Printf.sprintf "delay_slow %.17g" entry.delay_slow;
-      Printf.sprintf "total %.17g" entry.total;
-      Printf.sprintf "isub %.17g" entry.isub;
-      Printf.sprintf "igate %.17g" entry.igate;
-      Printf.sprintf "runtime %.17g" entry.runtime_s;
-      entry.assignment;
-    ]
+(* An entry as JSON members: a store file holds exactly this object, and
+   the cache-put/cache-found frames carry the same members after their
+   header.  Floats print at %.17g, so decoding returns the entry
+   bit-identical. *)
+let entry_members e =
+  [
+    ("method", Json.String e.method_name);
+    ("penalty", Json.Float e.penalty);
+    ("budget", Json.Float e.budget);
+    ("delay", Json.Float e.delay);
+    ("delay_fast", Json.Float e.delay_fast);
+    ("delay_slow", Json.Float e.delay_slow);
+    ("total", Json.Float e.total);
+    ("isub", Json.Float e.isub);
+    ("igate", Json.Float e.igate);
+    ("runtime_s", Json.Float e.runtime_s);
+    ("assignment", Json.String e.assignment);
+  ]
 
-let of_text text =
-  match String.split_on_char '\n' text with
-  | first :: method_line :: rest when first = magic -> (
-    let field prefix line =
-      let p = prefix ^ " " in
-      let n = String.length p in
-      if String.length line > n && String.sub line 0 n = p then
-        Some (String.sub line n (String.length line - n))
-      else None
-    in
-    let float_field prefix line = Option.bind (field prefix line) float_of_string_opt in
-    match rest with
-    | pen :: bud :: del :: dfast :: dslow :: tot :: isub :: igate :: runtime :: assignment
-      -> (
-      match
-        ( field "method" method_line,
-          float_field "penalty" pen,
-          float_field "budget" bud,
-          float_field "delay" del,
-          float_field "delay_fast" dfast,
-          float_field "delay_slow" dslow,
-          float_field "total" tot,
-          float_field "isub" isub,
-          float_field "igate" igate,
-          float_field "runtime" runtime )
-      with
-      | ( Some method_name,
-          Some penalty,
-          Some budget,
-          Some delay,
-          Some delay_fast,
-          Some delay_slow,
-          Some total,
-          Some isub,
-          Some igate,
-          Some runtime_s ) ->
-        Some
-          {
-            method_name;
-            penalty;
-            budget;
-            delay;
-            delay_fast;
-            delay_slow;
-            total;
-            isub;
-            igate;
-            runtime_s;
-            assignment = String.concat "\n" assignment;
-          }
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
+let entry_of_json json =
+  let ( let* ) = Result.bind in
+  let field conv kind name =
+    match Option.bind (Json.member name json) conv with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "missing or non-%s %S field" kind name)
+  in
+  let str = field Json.to_string_opt "string" and num = field Json.to_float_opt "numeric" in
+  let* method_name = str "method" in
+  let* penalty = num "penalty" in
+  let* budget = num "budget" in
+  let* delay = num "delay" in
+  let* delay_fast = num "delay_fast" in
+  let* delay_slow = num "delay_slow" in
+  let* total = num "total" in
+  let* isub = num "isub" in
+  let* igate = num "igate" in
+  let* runtime_s = num "runtime_s" in
+  let* assignment = str "assignment" in
+  Ok
+    {
+      method_name; penalty; budget; delay; delay_fast; delay_slow; total; isub; igate;
+      runtime_s; assignment;
+    }
 
 let find_local t ~key =
   if not (valid_key key) then None
@@ -169,15 +141,15 @@ let find_local t ~key =
     let file = path t ~key in
     match In_channel.with_open_text file In_channel.input_all with
     | text -> (
-      match of_text text with
-      | Some entry ->
+      match Result.bind (Json.of_string text) entry_of_json with
+      | Ok entry ->
         Metrics.incr m_hits;
         (* Freshen the file so LRU eviction tracks access order, not
            just write order.  Best-effort: a raced eviction only costs a
            future recompute. *)
         (try Unix.utimes file 0.0 0.0 with Unix.Unix_error _ -> ());
         Some entry
-      | None ->
+      | Error _ ->
         (* The file exists but does not decode: corruption, not a
            mere miss. *)
         Metrics.incr m_corrupt;
@@ -226,10 +198,9 @@ let store_local t ~key entry =
   if not (valid_key key) then invalid_arg "Result_store.store: malformed key";
   let file = path t ~key in
   let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
-  (* No trailing separator: the assignment payload ends with its own
-     newline, and [of_text] folds everything after the fixed fields back
-     into it — write and read must be exact inverses. *)
-  Out_channel.with_open_text tmp (fun oc -> Out_channel.output_string oc (to_text entry));
+  Out_channel.with_open_text tmp (fun oc ->
+      Out_channel.output_string oc (Json.to_string (Json.Obj (entry_members entry)));
+      Out_channel.output_char oc '\n');
   Sys.rename tmp file;
   (* Serialize the scan-and-evict step across worker domains; without
      the lock two concurrent stores could each count the other's fresh

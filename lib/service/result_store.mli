@@ -1,11 +1,15 @@
 (** Persistent, content-addressed store of optimization results.
 
     One file per {!Cache_key.digest} under a cache directory, written
-    atomically (temp file + rename), in a line-oriented text format.
-    Re-running a manifest therefore only recomputes jobs whose circuit,
-    process, constraint or algorithm changed.  Unreadable or malformed
-    entries are treated as misses, never as errors — a corrupted cache
-    degrades to recomputation.
+    atomically (temp file + rename).  A file is one line holding one
+    JSON object: {!entry_members}, the same members the server's
+    [cache-put]/[cache-found] frames carry.  Re-running a manifest
+    therefore only recomputes jobs whose circuit, process, constraint or
+    algorithm changed.  Unreadable or malformed entries are treated as
+    misses, never as errors — a corrupted cache degrades to
+    recomputation.  A file left in the older line-per-field format is
+    such an entry: counted corrupt once, recomputed, and overwritten by
+    the next {!store}.
 
     Degraded (deadline-cut) results are the caller's responsibility to
     keep out of the store; only full-quality answers should be
@@ -26,6 +30,17 @@ type entry = {
   runtime_s : float;  (** Original compute time — what a hit saves. *)
   assignment : string;  (** {!Standby_power.Assignment.to_string} payload. *)
 }
+
+val entry_members : entry -> (string * Standby_telemetry.Json.t) list
+(** The entry's JSON members, in a fixed order, floats at [%.17g] — the
+    one codec of an entry, for store files and cache frames alike. *)
+
+val entry_of_json : Standby_telemetry.Json.t -> (entry, string) result
+(** Inverse of {!entry_members}: reads the members from an object,
+    ignoring any others (a frame's [v], [type] and [key]).  Decoding an
+    encoded entry with finite floats returns it bit-identical (JSON has
+    no infinities or NaN).  The error names the first missing or
+    mistyped member. *)
 
 (** The shared tier, as injected closures (the peer client lives in a
     higher layer).  [fetch] answers a digest lookup from a peer store or

@@ -12,8 +12,6 @@ let create ?(descending = false) capacity =
 
 let is_empty t = t.len = 0
 
-let length t = t.len
-
 (* [before a b]: should [a] be popped before [b]? *)
 let before t a b = if t.descending then a > b else a < b
 
@@ -63,9 +61,3 @@ let pop t =
     done
   end;
   top
-
-let clear t =
-  for i = 0 to t.len - 1 do
-    t.queued.(t.data.(i)) <- false
-  done;
-  t.len <- 0

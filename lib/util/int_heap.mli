@@ -1,9 +1,9 @@
 (** A deduplicating binary heap over small integer ids.
 
-    The worklist primitive of the incremental simulation and STA
-    kernels: ids are dense node identifiers in [0, capacity), pushing an
-    id already in the heap is a no-op, and all storage is preallocated
-    at creation so steady-state operation never allocates.
+    The worklist of the incremental STA ({!Standby_timing.Sta}): ids
+    are dense node identifiers in [0, capacity), pushing an id already
+    in the heap is a no-op, and all storage is preallocated at creation
+    so steady-state operation never allocates.
 
     Node ids are topological by construction ({!Standby_netlist.Netlist}),
     so an ascending heap pops a DAG worklist in dependency order
@@ -27,8 +27,3 @@ val pop : t -> int
     queued id.  @raise Invalid_argument on an empty heap. *)
 
 val is_empty : t -> bool
-
-val length : t -> int
-
-val clear : t -> unit
-(** Forget every queued id (storage is retained). *)

@@ -444,6 +444,30 @@ let test_nand2_shared_version () =
   let v = info.Library.versions.(min_version 0) in
   check Alcotest.int "single-device version" 1 (Topology.slow_device_count v)
 
+(* The one (token, mode) table the CLI, manifests and the wire share:
+   every token round-trips, and an unknown one is refused with all six
+   tokens named. *)
+let test_mode_tokens () =
+  check Alcotest.int "six library modes" 6 (List.length Version.mode_tokens);
+  List.iter
+    (fun (token, mode) ->
+      check Alcotest.bool (token ^ " parses to its mode") true
+        (Version.mode_of_token token = Ok mode);
+      check Alcotest.string (token ^ " prints back") token (Version.mode_token mode))
+    Version.mode_tokens;
+  match Version.mode_of_token "4-option" with
+  | Ok _ -> Alcotest.fail "a display name is not a token"
+  | Error msg ->
+    let names token =
+      let n = String.length msg and m = String.length token in
+      let rec go i = i + m <= n && (String.sub msg i m = token || go (i + 1)) in
+      go 0
+    in
+    List.iter
+      (fun (token, _) ->
+        if not (names token) then Alcotest.failf "error %S does not name %S" msg token)
+      Version.mode_tokens
+
 (* ----------------------------- Library ---------------------------- *)
 
 let test_library_lookups () =
@@ -607,6 +631,7 @@ let () =
           quick "uniform stack vt" test_uniform_stack_mode;
           quick "min below fast" test_min_leak_below_fast;
           quick "nand2 shared version" test_nand2_shared_version;
+          quick "mode tokens round-trip" test_mode_tokens;
         ] );
       ( "library",
         [

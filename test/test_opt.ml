@@ -398,7 +398,7 @@ let test_random_average_seed_stability () =
 
 (* ------------------------- Greedy (anytime) ------------------------ *)
 
-(* The --mode greedy optimizer: sensitivity-guided swap heap under a
+(* The -m greedy optimizer: sensitivity-guided swap heap under a
    hard wall-clock budget.  The budgets below are ceilings only — these
    circuit sizes reach quiescence in milliseconds, so the runs are
    deterministic and fast. *)

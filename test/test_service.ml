@@ -261,6 +261,33 @@ let test_store_roundtrip () =
   check Alcotest.bool "cleared store is empty" true (Result_store.find store ~key = None)
 
 
+(* A file in the retired "standbyopt-result 1" line format (here
+   [sample_entry], written out literally) is not a hit any more: it
+   counts as corrupt once and the next store overwrites it with the one
+   JSON object a cache-found frame carries after [v], [type] and [key]. *)
+let test_store_retired_format () =
+  let module Json = Standby_telemetry.Json in
+  let module Metrics = Standby_telemetry.Metrics in
+  let corrupt = Metrics.counter Metrics.default "result_store.corrupt" in
+  let store = Result_store.create ~dir:(fresh_dir "standbyopt-retired") () in
+  let key = String.make 32 'c' in
+  let file = Filename.concat (Result_store.dir store) (key ^ ".result") in
+  Out_channel.with_open_text file (fun oc ->
+      Out_channel.output_string oc
+        "standbyopt-result 1\nmethod heu1\npenalty 0.050000000000000003\nbudget 1.25\n\
+         delay 1.2000000000000004\ndelay_fast 1\ndelay_slow 3.5\ntotal 1.234e-06\n\
+         isub 9.9999999999999995e-07\nigate 2.34e-07\nruntime 0.75\n\
+         vector 0101\nchoices 0 0 1 2\n");
+  let before = Metrics.counter_value corrupt in
+  check Alcotest.bool "old-format file is not a hit" true (Result_store.find store ~key = None);
+  check Alcotest.int "counted corrupt once" (before + 1) (Metrics.counter_value corrupt);
+  Result_store.store store ~key sample_entry;
+  match In_channel.with_open_text file In_channel.input_lines with
+  | [ line ] ->
+    check Alcotest.bool "the file is the cache frame's entry members" true
+      (Json.of_string line = Ok (Json.Obj (Result_store.entry_members sample_entry)))
+  | lines -> Alcotest.failf "expected one line, got %d" (List.length lines)
+
 (* The cap is LRU: a [find] freshens its entry, so the evictee is the
    least recently *used* entry, not merely the oldest write. *)
 let test_store_lru () =
@@ -458,6 +485,7 @@ let () =
         [
           quick "roundtrip, corruption, clear" test_store_roundtrip;
           quick "lru eviction under a cap" test_store_lru;
+          quick "retired line format reads as corrupt" test_store_retired_format;
         ] );
       ( "pool",
         [ quick "map" test_pool_map; quick "submit and wait" test_pool_submit_wait ] );
