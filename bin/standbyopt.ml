@@ -191,7 +191,7 @@ let method_arg =
   let doc =
     "Optimization method: heu1, heu2, hc (heu1 + hill climbing), exact, greedy — the \
      anytime sensitivity-guided swap heap for very large circuits (100k+ gates), bounded \
-     by --time-budget — or partition: FM min-cut decomposition into regions optimized \
+     by --time-limit — or partition: FM min-cut decomposition into regions optimized \
      greedily --jobs at a time, then reconciled globally (see --regions)."
   in
   Arg.(
@@ -204,33 +204,26 @@ let regions_arg =
   in
   Arg.(value & opt int 0 & info [ "regions" ] ~docv:"N" ~doc)
 
-let heu2_limit_arg =
-  let doc = "Time budget in seconds for heu2." in
-  Arg.(value & opt float 2.0 & info [ "heu2-limit" ] ~docv:"SECONDS" ~doc)
-
-let time_budget_arg =
+let time_limit_arg =
   let doc =
-    "Hard wall-clock budget in seconds for the greedy mode; the best incumbent found so \
-     far is returned when it expires."
+    "Time limit in seconds (the manifest's time-limit key): heu2's search budget, hc's \
+     refinement limit, and the hard wall-clock budget of greedy and partition, which \
+     return the best incumbent found so far when it expires."
   in
-  Arg.(value & opt float 10.0 & info [ "time-budget" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value
+    & opt float Optimizer.default_params.Optimizer.time_limit_s
+    & info [ "time-limit" ] ~docv:"SECONDS" ~doc)
 
-(* -m names the method; greedy and partition take their budget from
-   --time-budget, the tree searches their limit from --heu2-limit.  The
-   table validates the result, so every surface refuses the same
-   values. *)
+(* -m names the method and --time-limit / --regions fill the parameters
+   it takes.  The table validates the result, so every surface refuses
+   the same values. *)
 let method_term =
-  let make named heu2_limit time_budget regions =
-    let time_limit_s =
-      match named with
-      | Optimizer.Greedy _ | Optimizer.Partition _ -> time_budget
-      | _ -> heu2_limit
-    in
+  let make named time_limit_s regions =
     Optimizer.method_of_token (Optimizer.method_token named)
       { Optimizer.default_params with time_limit_s; regions }
   in
-  Term.(
-    term_result' (const make $ method_arg $ heu2_limit_arg $ time_budget_arg $ regions_arg))
+  Term.(term_result' (const make $ method_arg $ time_limit_arg $ regions_arg))
 
 let vectors_arg =
   let doc =

@@ -319,10 +319,10 @@ let run ?candidates ?(unblock = true)
              (* The gate's own slack covers every path through it, but a
                 swap can also lengthen a path that bypasses it: an arrival
                 that falls can move a fanout's critical pin onto an input
-                whose drive sets a slower output slew.  Every output whose
-                arrival moved was re-timed by [update_from], so checking
-                those outputs completes the test without a full scan. *)
-             if Sta.gate_slack sta id >= 0.0 && Sta.outputs_met sta then begin
+                whose drive sets a slower output slew.  [update_from]
+                keeps the workspace's late-output count current, so
+                [meets_budget] completes the test without a scan. *)
+             if Sta.gate_slack sta id >= 0.0 && Sta.meets_budget sta then begin
                choices.(id) <- t;
                total := !total -. (current.Version.leakage -. entry.Version.leakage);
                incr applied;

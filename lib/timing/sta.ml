@@ -52,6 +52,10 @@ type t = {
   fheap : Int_heap.t;
   bheap : Int_heap.t;
   is_out : bool array;
+  (* Per-output late flags and their count (see [mark_late]), so
+     feasibility is a read. *)
+  late : bool array;
+  mutable late_count : int;
   (* Locally accumulated metric deltas.  The candidate loops call
      [update_from] thousands of times per leaf from every worker
      domain; per-call atomic increments on the shared counters
@@ -60,9 +64,6 @@ type t = {
   mutable pend_updates : int;
   mutable pend_pops : int;
   mutable boundary : boundary option;
-  (* Set by [update_from] when a primary output it re-timed misses its
-     effective required time. *)
-  mutable output_late : bool;
 }
 
 let flush_batch = 1024
@@ -138,6 +139,19 @@ let output_required t id =
   | None -> (t.budget, t.budget)
   | Some b -> (min t.budget b.b_req_rise.(id), min t.budget b.b_req_fall.(id))
 
+(* Refresh one output's late flag and the late count.  [backward] runs
+   it for every output (every full update, budget change and [create]
+   passes through there with arrivals current), and [update_from] for
+   each output it re-times; no other write moves an output's arrival or
+   required time. *)
+let mark_late t o =
+  let rr, rf = output_required t o in
+  let late = t.arr_rise.(o) > rr +. epsilon || t.arr_fall.(o) > rf +. epsilon in
+  if late <> t.late.(o) then begin
+    t.late.(o) <- late;
+    t.late_count <- (if late then t.late_count + 1 else t.late_count - 1)
+  end
+
 let backward t =
   let n = Netlist.node_count t.net in
   Array.fill t.req_rise 0 n infinity;
@@ -146,7 +160,8 @@ let backward t =
     (fun o ->
       let rr, rf = output_required t o in
       t.req_rise.(o) <- min t.req_rise.(o) rr;
-      t.req_fall.(o) <- min t.req_fall.(o) rf)
+      t.req_fall.(o) <- min t.req_fall.(o) rf;
+      mark_late t o)
     (Netlist.outputs t.net);
   for id = n - 1 downto 0 do
     match Netlist.node t.net id with
@@ -207,7 +222,6 @@ let recompute_required t id =
 
 let update_from t start =
   let pops = ref 0 in
-  t.output_late <- false;
   (* Forward: fanout-driven worklist from [start].  Node ids are
      topological, so the ascending heap settles each node exactly once
      — cost scales with the affected cone, not the netlist. *)
@@ -224,11 +238,7 @@ let update_from t start =
       let old_rise = t.arr_rise.(id) and old_fall = t.arr_fall.(id) in
       let old_srise = t.slew_rise.(id) and old_sfall = t.slew_fall.(id) in
       recompute_arrival t id kind fanin;
-      if t.is_out.(id) then begin
-        let rr, rf = output_required t id in
-        if t.arr_rise.(id) > rr +. epsilon || t.arr_fall.(id) > rf +. epsilon then
-          t.output_late <- true
-      end;
+      if t.is_out.(id) then mark_late t id;
       if
         id = start
         || abs_float (t.arr_rise.(id) -. old_rise) > epsilon
@@ -267,8 +277,6 @@ let update_from t start =
   t.pend_pops <- t.pend_pops + !pops;
   if t.pend_updates >= flush_batch then flush_counters t
 
-let outputs_met t = not t.output_late
-
 let circuit_delay t =
   Array.fold_left
     (fun acc o -> max acc (max t.arr_rise.(o) t.arr_fall.(o)))
@@ -303,7 +311,8 @@ let create ?load lib net =
       pend_updates = 0;
       pend_pops = 0;
       boundary = None;
-      output_late = false;
+      late = Array.make n false;
+      late_count = 0;
       fheap = Int_heap.create n;
       bheap = Int_heap.create ~descending:true n;
       is_out =
@@ -371,17 +380,7 @@ let set_output_required t id ~rise ~fall =
   b.b_req_rise.(id) <- rise;
   b.b_req_fall.(id) <- fall
 
-let meets_budget t =
-  match t.boundary with
-  | None -> circuit_delay t <= t.budget +. epsilon
-  | Some _ ->
-    (* With frozen output caps the budget alone is not the constraint:
-       every output must also meet its own required time. *)
-    Array.for_all
-      (fun o ->
-        let rr, rf = output_required t o in
-        t.arr_rise.(o) <= rr +. epsilon && t.arr_fall.(o) <= rf +. epsilon)
-      (Netlist.outputs t.net)
+let meets_budget t = t.late_count = 0
 
 let candidate_feasible t id ~version ~perm =
   match Netlist.node t.net id with

@@ -18,7 +18,10 @@
     slowed cell also slows downstream stages through its output slew,
     the pre-filter is necessary but not sufficient — accept a candidate
     only after re-checking {!meets_budget} on the updated workspace (the
-    gate-tree search does exactly that, reverting on failure). *)
+    gate-tree search does exactly that, reverting on failure).  That
+    check is O(1) and exact in every state: the workspace keeps a count
+    of late outputs current through every {!update}, {!update_from} and
+    {!set_budget}, whether or not the budget held before the change. *)
 
 type t
 (** Mutable timing workspace bound to one netlist and library. *)
@@ -81,15 +84,6 @@ val update_from : t -> int -> unit
     to timing epsilon, but the cost scales with the affected cone and
     the steady state allocates nothing. *)
 
-val outputs_met : t -> bool
-(** Did every primary output the last {!update_from} re-timed meet its
-    effective required time?  Every output whose arrival moved is on the
-    forward worklist, so on a workspace that met its budget before a
-    single-gate change this is a complete feasibility check at the cost
-    of the cone — unlike the changed gate's own slack, it also sees a
-    path lengthened only by a fanout's critical pin switching onto a
-    slower-slewing input. *)
-
 val flush_counters : t -> unit
 (** Publish locally batched [sta.incremental_updates] /
     [sta.worklist_pops] metric deltas to the shared registry.  Called
@@ -102,7 +96,10 @@ val circuit_delay : t -> float
 
 val meets_budget : t -> bool
 (** Every output within its effective required time: the budget, also
-    capped by any {!set_output_required} freeze. *)
+    capped by any {!set_output_required} freeze (installed by the
+    {!update} or {!set_budget} that follows it).  O(1), and exact in
+    every state — after an {!update_from} it also counts outputs left
+    late by earlier changes that were never reverted. *)
 
 val candidate_feasible : t -> int -> version:int -> perm:int array -> bool
 (** Would swapping this single gate keep every path through it within

@@ -458,9 +458,15 @@ let test_anytime_greedy_near_heu2 () =
 
 (* Retryable blocking: a gate blocked for lack of slack is re-admitted
    once accepted swaps elsewhere give it more slack than it was blocked
-   with.  Unblocking only ever adds accepted (leakage-decreasing) swaps,
-   so it can never end worse than permanent blocking — and on real
-   benchmark structure it strictly recovers leakage. *)
+   with.  Every swap it takes is feasible, but it is not free: on
+   [medium 102] gate 41 is re-admitted at the start of round 3, steps
+   down for 41 nA, and leaves gate 25 too little slack for the 68 nA
+   step it takes in the blocked run, so unblocking ends 4.6 nA higher
+   ([medium 73] repeats the pattern with gate 80).  What holds is the
+   balance: over all 301 seeds unblocking wins on more than it loses
+   (20 better, 2 worse, 279 equal when measured), and the geometric
+   mean of on/off stays at or below 1 (0.99702).  On real benchmark
+   structure it strictly recovers leakage. *)
 
 let run_greedy ?unblock net =
   let sta = Sta.create lib net in
@@ -473,17 +479,19 @@ let run_greedy ?unblock net =
   in
   o.State_tree.best.State_tree.leakage
 
-let test_greedy_unblock_never_worse =
-  QCheck.Test.make ~count:6 ~name:"greedy unblocking never worse than permanent blocking"
-    QCheck.(make Gen.(int_range 0 300))
-    (fun seed ->
-      let net = medium seed in
-      let on = run_greedy net in
-      let off = run_greedy ~unblock:false net in
-      if on > off +. 1e-15 then
-        QCheck.Test.fail_reportf "seed %d: unblock %.6g uA > blocked %.6g uA" seed
-          (on *. 1e6) (off *. 1e6);
-      true)
+let test_greedy_unblock_wins_on_balance () =
+  let better = ref 0 and worse = ref 0 and log_ratio = ref 0.0 in
+  for seed = 0 to 300 do
+    let net = medium seed in
+    let on = run_greedy net in
+    let off = run_greedy ~unblock:false net in
+    if on < off -. 1e-15 then incr better else if on > off +. 1e-15 then incr worse;
+    log_ratio := !log_ratio +. log (on /. off)
+  done;
+  let geomean = exp (!log_ratio /. 301.0) in
+  if not (!better > !worse && geomean <= 1.0) then
+    Alcotest.failf "unblocking better on %d seeds, worse on %d, geometric mean on/off %.5f"
+      !better !worse geomean
 
 let test_greedy_unblock_recovers_leakage () =
   (* c880 is one of the benchmarks where retryable blocking measurably
@@ -516,14 +524,17 @@ let test_greedy_rejects_slew_only_violation () =
   check Alcotest.bool "delay within budget under a full STA" true
     (r.Optimizer.delay <= r.Optimizer.budget *. (1.0 +. 1e-9))
 
-(* Greedy scaling to quiescence on generated netlists: seed 11, inputs
-   and locality window scaled with the gate count, each point doubling
-   the previous one.  Near-linear means
-   the work per doubling stays well below the 4.0x a quadratic optimizer
-   shows.  The gate counts work, not wall time: STA worklist pops and
-   greedy heap pops are exact and repeat bit-for-bit, so the bounds need
-   no allowance for host noise.  Measured pops per gate are about 165 /
-   173 / 219 (worklist) and 1.95 (heap), so ratios of 2.10, 2.53 and 2.0.
+(* Scaling to quiescence on generated netlists: seed 11, inputs and
+   locality window scaled with the gate count, each point doubling the
+   previous one.  Near-linear means the work per doubling stays well
+   below the 4.0x a quadratic optimizer shows.  The gates count work,
+   not wall time: STA worklist pops and greedy heap pops are exact and
+   repeat bit-for-bit, so the bounds need no allowance for host noise.
+   Greedy's measured pops per gate are about 165 / 173 / 219 (worklist)
+   and 1.95 (heap), so ratios of 2.10, 2.53 and 2.0.  Heuristic 1's gate
+   tree confirms every try with [Sta.meets_budget], which reads a count
+   and examines no output, so its worklist pops (408,305 / 930,343 /
+   2,277,997, ratios 2.28 and 2.45) are all the timing work it does.
    Cost per pop (cache effects at scale) is left to the wall time of the
    greedy-20k benchmark workload.  The 300 s budget is a ceiling only;
    every point reaches quiescence long before it. *)
@@ -532,43 +543,54 @@ let worklist_pops = Standby_telemetry.Metrics.(counter default "sta.worklist_pop
 
 let heap_pops = Standby_telemetry.Metrics.(counter default "greedy.heap_pops")
 
-let greedy_scaling_point gates =
-  let net =
-    Standby_circuits.Random_logic.generate ~seed:11 ~inputs:(max 64 (gates / 100))
-      ~window:(max 60 (gates / 20)) ~gates ()
-  in
+let scaling_net gates =
+  Standby_circuits.Random_logic.generate ~seed:11 ~inputs:(max 64 (gates / 100))
+    ~window:(max 60 (gates / 20)) ~gates ()
+
+let scaling_point method_ (gates, net) =
   let value = Standby_telemetry.Metrics.counter_value in
   let sta0 = value worklist_pops and heap0 = value heap_pops in
-  let r = Optimizer.run lib net ~penalty:0.05 (Optimizer.Greedy { time_budget_s = 300.0 }) in
+  let r = Optimizer.run lib net ~penalty:0.05 method_ in
   if not (r.Optimizer.delay <= r.Optimizer.budget) then
-    Alcotest.failf "%d gates: delay %.6g above budget %.6g" gates r.Optimizer.delay
-      r.Optimizer.budget;
+    Alcotest.failf "%s, %d gates: delay %.6g above budget %.6g" r.Optimizer.method_name
+      gates r.Optimizer.delay r.Optimizer.budget;
   (value worklist_pops - sta0, value heap_pops - heap0, r)
 
-let test_greedy_scaling_near_linear () =
-  let points = List.map greedy_scaling_point [ 5_000; 10_000; 20_000 ] in
+(* [heap_bound] is [None] for a method that pushes no greedy heap. *)
+let check_scaling nets method_ ~heap_bound =
+  let name = Optimizer.method_name method_ in
+  let points = List.map (scaling_point method_) nets in
   (* The premise of gating on counts: they repeat exactly. *)
   let sta5k, heap5k, r5k = List.hd points in
-  let sta5k', heap5k', r5k' = greedy_scaling_point 5_000 in
-  check Alcotest.int "5k worklist pops repeat" sta5k sta5k';
-  check Alcotest.int "5k heap pops repeat" heap5k heap5k';
-  check Alcotest.string "5k assignment repeats"
+  let sta5k', heap5k', r5k' = scaling_point method_ (List.hd nets) in
+  check Alcotest.int (name ^ " 5k worklist pops repeat") sta5k sta5k';
+  check Alcotest.int (name ^ " 5k heap pops repeat") heap5k heap5k';
+  check Alcotest.string (name ^ " 5k assignment repeats")
     (Assignment.to_string r5k.Optimizer.assignment)
     (Assignment.to_string r5k'.Optimizer.assignment);
   let ratio a b = float_of_int b /. float_of_int a in
   let rec doublings = function
     | (sta, heap, _) :: ((sta', heap', _) :: _ as rest) ->
-      let sta_x = ratio sta sta' and heap_x = ratio heap heap' in
+      let sta_x = ratio sta sta' in
       if sta_x > 3.0 then
-        Alcotest.failf "worklist pops %d -> %d: %.2fx per doubling (bound 3.0)" sta sta'
-          sta_x;
-      if heap_x > 2.5 then
-        Alcotest.failf "heap pops %d -> %d: %.2fx per doubling (bound 2.5)" heap heap'
-          heap_x;
+        Alcotest.failf "%s: worklist pops %d -> %d: %.2fx per doubling (bound 3.0)" name
+          sta sta' sta_x;
+      Option.iter
+        (fun bound ->
+          let heap_x = ratio heap heap' in
+          if heap_x > bound then
+            Alcotest.failf "%s: heap pops %d -> %d: %.2fx per doubling (bound %.1f)" name
+              heap heap' heap_x bound)
+        heap_bound;
       doublings rest
     | _ -> ()
   in
   doublings points
+
+let test_scaling_near_linear () =
+  let nets = List.map (fun g -> (g, scaling_net g)) [ 5_000; 10_000; 20_000 ] in
+  check_scaling nets (Optimizer.Greedy { time_budget_s = 300.0 }) ~heap_bound:(Some 2.5);
+  check_scaling nets Optimizer.Heuristic_1 ~heap_bound:None
 
 (* ---------------------------- Search stats ------------------------- *)
 
@@ -635,11 +657,11 @@ let () =
           QCheck_alcotest.to_alcotest test_anytime_greedy_incumbents_monotone;
           QCheck_alcotest.to_alcotest test_anytime_greedy_deterministic;
           quick "within 20% of heu2" test_anytime_greedy_near_heu2;
-          QCheck_alcotest.to_alcotest test_greedy_unblock_never_worse;
+          quick "greedy unblocking wins on balance" test_greedy_unblock_wins_on_balance;
           quick "unblock recovers leakage on c880" test_greedy_unblock_recovers_leakage;
           quick "rejects a slew-only output violation" test_greedy_rejects_slew_only_violation;
           Alcotest.test_case "scaling near-linear in counted work" `Slow
-            test_greedy_scaling_near_linear;
+            test_scaling_near_linear;
         ] );
       ("stats", [ quick "merge" test_stats_merge ]);
     ]

@@ -159,7 +159,7 @@ let test_candidate_feasible_necessary =
      failed local check guarantees the installed candidate breaks the
      budget (the check is a sound rejection filter); a passing check may
      still break it downstream via slew propagation, which the gate tree
-     covers with a post-install meets_budget confirmation. *)
+     covers by confirming with meets_budget after installing. *)
   QCheck.Test.make ~count:40 ~name:"candidate_feasible rejections are real violations"
     QCheck.(make Gen.(triple (int_range 0 300) (int_range 0 10_000) (int_range 0 3)))
     (fun (seed, pick, state_pick) ->
@@ -181,6 +181,73 @@ let test_candidate_feasible_necessary =
       let globally_ok = Sta.meets_budget sta in
       (* not locally_ok implies not globally_ok *)
       locally_ok || not globally_ok)
+
+(* [meets_budget] reads a late-output count that [update_from],
+   [update] and [set_budget] keep current.  A random walk of
+   installs with no reverts and budget moves in between visits feasible
+   and infeasible states alike; after every step the count must agree
+   with a scan written here: each output's arrival against the budget,
+   capped by the required times the test froze on a boundary
+   workspace. *)
+let test_meets_budget_matches_scan =
+  QCheck.Test.make ~count:60 ~name:"meets_budget equals a scan of every output"
+    QCheck.(
+      make
+        ~print:(fun (s, w, b) -> Printf.sprintf "seed %d walk %d boundary %b" s w b)
+        Gen.(triple (int_range 0 500) (int_range 0 1_000_000) bool))
+    (fun (seed, walk, boundary) ->
+      let net = random_circuit seed in
+      let rng = Prng.create ~seed:walk in
+      let sta = Sta.create lib net in
+      let outputs = Netlist.outputs net in
+      let caps = Hashtbl.create 8 in
+      if boundary then begin
+        (* Cap every other output near its all-fast arrival, some of
+           them below it, so the caps alone can make outputs late. *)
+        Array.iteri
+          (fun i o ->
+            if i mod 2 = 0 then begin
+              let ar, af = Sta.arrival sta o in
+              let f = 0.9 +. (0.002 *. float_of_int (Prng.int rng ~bound:100)) in
+              Hashtbl.replace caps o (ar *. f, af *. f);
+              Sta.set_output_required sta o ~rise:(ar *. f) ~fall:(af *. f)
+            end)
+          outputs;
+        Sta.update sta
+      end;
+      let scan () =
+        let b = Sta.budget sta in
+        Array.for_all
+          (fun o ->
+            let rr, rf =
+              match Hashtbl.find_opt caps o with
+              | Some (cr, cf) -> (min b cr, min b cf)
+              | None -> (b, b)
+            in
+            let ar, af = Sta.arrival sta o in
+            ar <= rr +. 1e-9 && af <= rf +. 1e-9)
+          outputs
+      in
+      let gates = ref [] in
+      Netlist.iter_gates net (fun id kind _ -> gates := (id, kind) :: !gates);
+      let arr = Array.of_list !gates in
+      let agree = ref (Sta.meets_budget sta = scan ()) in
+      for _ = 1 to 40 do
+        if Prng.int rng ~bound:5 = 0 then
+          Sta.set_budget sta
+            (Sta.budget_for_penalty lib net
+               ~penalty:(0.01 *. float_of_int (Prng.int rng ~bound:30)))
+        else begin
+          let id, kind = arr.(Prng.int rng ~bound:(Array.length arr)) in
+          let state = Prng.int rng ~bound:(Gate_kind.state_count kind) in
+          let opts = Library.options lib kind ~state in
+          let o = opts.(Prng.int rng ~bound:(Array.length opts)) in
+          Sta.assign sta id ~version:o.Version.version ~perm:o.Version.perm;
+          Sta.update_from sta id
+        end;
+        if Sta.meets_budget sta <> scan () then agree := false
+      done;
+      !agree)
 
 let test_reset_fast_restores () =
   let rng = Prng.create ~seed:77 in
@@ -303,6 +370,7 @@ let () =
           QCheck_alcotest.to_alcotest test_update_from_equals_full_update;
           QCheck_alcotest.to_alcotest test_update_from_sequence_matches_fresh;
           QCheck_alcotest.to_alcotest test_candidate_feasible_necessary;
+          QCheck_alcotest.to_alcotest test_meets_budget_matches_scan;
           quick "reset fast" test_reset_fast_restores;
           quick "slacks nonnegative" test_slacks_nonnegative_within_budget;
           quick "version accessors" test_version_accessors;
