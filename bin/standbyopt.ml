@@ -987,32 +987,17 @@ let run_report telemetry quick vectors jobs artifacts =
     }
   in
   let t = Experiments.create ~config () in
-  let renderers =
-    [
-      ("table1", fun () -> Experiments.table1 t);
-      ("table2", fun () -> Experiments.table2 t);
-      ("table3", fun () -> Experiments.table3 t);
-      ("table4", fun () -> Experiments.table4 t);
-      ("table5", fun () -> Experiments.table5 t);
-      ("figure1", fun () -> Experiments.figure1 t);
-      ("figure2", fun () -> Experiments.figure2 t);
-      ("figure3", fun () -> Experiments.figure3 t);
-      ("figure4", fun () -> Experiments.figure4 t);
-      ("figure5", fun () -> Experiments.figure5 ~csv_path:"figure5.csv" t);
-      ("ablation", fun () -> Experiments.ablation t);
-    ]
-  in
-  let known = "all" :: List.map fst renderers in
+  let known = "all" :: List.map fst Experiments.artifacts in
   match List.filter (fun a -> not (List.mem a known)) artifacts with
   | [] ->
     let wanted name = List.mem "all" artifacts || List.mem name artifacts in
     List.iter
       (fun (name, render) ->
         if wanted name then begin
-          print_endline (render ());
+          print_endline (render t);
           print_newline ()
         end)
-      renderers;
+      Experiments.artifacts;
     0
   | unknown ->
     Printf.eprintf "error: unknown artifact(s): %s\nknown: %s\n"

@@ -62,7 +62,7 @@ let publish ~connect_timeout_s ~peers ~key entry =
 let remote ?(connect_timeout_s = 2.0) ~peers () =
   {
     Result_store.fetch = (fun ~key -> fetch ~connect_timeout_s ~peers ~key);
-    publish = Some (fun ~key entry -> publish ~connect_timeout_s ~peers ~key entry);
+    publish = (fun ~key entry -> publish ~connect_timeout_s ~peers ~key entry);
   }
 
 let attach ?connect_timeout_s ~store ~peers () =

@@ -1,26 +1,26 @@
-type func = F_and | F_nand | F_or | F_nor | F_xor | F_xnor | F_not | F_buff | F_dff
-
 type statement =
   | S_input of string
   | S_output of string
-  | S_def of { signal : string; func : func; args : string list }
+  | S_def of { signal : string; func : Logic_build.func; args : string list }
+  | S_dff of { signal : string; args : string list }
 
 exception Error of string
 
 let fail line fmt =
   Printf.ksprintf (fun s -> raise (Error (Printf.sprintf "line %d: %s" line s))) fmt
 
+(* [None] names a D flip-flop, which the reader cuts itself. *)
 let func_of_name line s =
   match String.uppercase_ascii s with
-  | "AND" -> F_and
-  | "NAND" -> F_nand
-  | "OR" -> F_or
-  | "NOR" -> F_nor
-  | "XOR" -> F_xor
-  | "XNOR" -> F_xnor
-  | "NOT" | "INV" -> F_not
-  | "BUF" | "BUFF" -> F_buff
-  | "DFF" -> F_dff
+  | "AND" -> Some Logic_build.And
+  | "NAND" -> Some Logic_build.Nand
+  | "OR" -> Some Logic_build.Or
+  | "NOR" -> Some Logic_build.Nor
+  | "XOR" -> Some Logic_build.Xor
+  | "XNOR" -> Some Logic_build.Xnor
+  | "NOT" | "INV" -> Some Logic_build.Not
+  | "BUF" | "BUFF" -> Some Logic_build.Buf
+  | "DFF" -> None
   | other -> fail line "unknown gate function %S" other
 
 let strip s = String.trim s
@@ -53,9 +53,11 @@ let parse_line line_no raw =
       if signal = "" then fail line_no "empty signal name";
       (match parse_call line_no rhs with
        | Some (fname, args) when args <> [ "" ] ->
-         Some (S_def { signal; func = func_of_name line_no fname; args })
+         (match func_of_name line_no fname with
+          | Some func -> Some (S_def { signal; func; args })
+          | None -> Some (S_dff { signal; args }))
        | Some (fname, _) ->
-         if func_of_name line_no fname = F_dff then fail line_no "DFF with no argument"
+         if func_of_name line_no fname = None then fail line_no "DFF with no argument"
          else fail line_no "gate with no argument"
        | None -> fail line_no "expected a gate call on the right-hand side")
     | None ->
@@ -66,9 +68,9 @@ let parse_line line_no raw =
        | None -> fail line_no "cannot parse %S" text)
 
 (* One pass over the source, cutting on newlines in place: a 1M-gate
-   file is ~30 MB, and materializing a statement list for it before any
-   processing both doubles the footprint and stalls the caches.  Each
-   parsed statement is consumed immediately instead. *)
+   file is ~30 MB, and materializing its lines or statements before
+   elaboration would double the footprint.  Each parsed statement is
+   consumed immediately instead. *)
 let iter_lines source f =
   let n = String.length source in
   let line_no = ref 0 in
@@ -82,185 +84,25 @@ let iter_lines source f =
     start := stop + 1
   done
 
-(* Signal names intern to dense ids on first sight; the line scan is the
-   only phase that hashes strings.  Everything downstream — duplicate
-   checks, the topological sort, emission — walks int arrays, which is
-   what keeps million-gate parses from drowning in string hashing and
-   allocation.  A signal id is "defined" iff its argument array is
-   non-empty (every accepted gate call has at least one argument). *)
 let of_string ?(name = "bench") source =
   try
-    let intern = Hashtbl.create 4096 in
-    let cap = ref 1024 in
-    let sig_names = ref (Array.make !cap "") in
-    let sig_funcs = ref (Array.make !cap F_not) in
-    let sig_args = ref (Array.make !cap [||]) in
-    let sid_count = ref 0 in
-    let sid_of s =
-      match Hashtbl.find_opt intern s with
-      | Some sid -> sid
-      | None ->
-        let sid = !sid_count in
-        if sid = !cap then begin
-          let grow : 'a. 'a array ref -> 'a -> unit =
-            fun a fill ->
-              let bigger = Array.make (2 * !cap) fill in
-              Array.blit !a 0 bigger 0 !cap;
-              a := bigger
-          in
-          grow sig_names "";
-          grow sig_funcs F_not;
-          grow sig_args [||];
-          cap := 2 * !cap
-        end;
-        !sig_names.(sid) <- s;
-        Hashtbl.add intern s sid;
-        incr sid_count;
-        sid
-    in
-    let declared_inputs = ref [] in
-    let declared_outputs = ref [] in
-    let dff_cuts = ref [] in
-    iter_lines source (fun line_no line ->
-        match parse_line line_no line with
-        | None -> ()
-        | Some (S_input s) -> declared_inputs := sid_of s :: !declared_inputs
-        | Some (S_output s) -> declared_outputs := sid_of s :: !declared_outputs
-        | Some (S_def { signal; func = F_dff; args }) ->
-          (* Cut the flop: output side becomes an input, data side a
-             pseudo primary output so its cone is preserved. *)
-          (match args with
-           | [ data ] ->
-             declared_inputs := sid_of signal :: !declared_inputs;
-             dff_cuts := sid_of data :: !dff_cuts
-           | _ -> raise (Error (Printf.sprintf "DFF %S needs one argument" signal)))
-        | Some (S_def { signal; func; args }) ->
-          let sid = sid_of signal in
-          if Array.length !sig_args.(sid) > 0 then
-            raise (Error (Printf.sprintf "signal %S defined twice" signal));
-          let arg_sids = Array.of_list (List.map sid_of args) in
-          !sig_funcs.(sid) <- func;
-          !sig_args.(sid) <- arg_sids);
-    let n = !sid_count in
-    let sig_names = Array.sub !sig_names 0 n in
-    let sig_funcs = Array.sub !sig_funcs 0 n in
-    let sig_args = Array.sub !sig_args 0 n in
-    let defined sid = Array.length sig_args.(sid) > 0 in
-    let inputs = List.rev !declared_inputs in
-    let outputs = List.rev !declared_outputs @ List.rev !dff_cuts in
-    if outputs = [] then raise (Error "no OUTPUT directive");
-    let builder = Netlist.Builder.create ~name () in
-    (* Signal id -> builder node id; -1 until emitted. *)
-    let ids = Array.make n (-1) in
-    List.iter
-      (fun sid ->
-        if ids.(sid) < 0 then
-          ids.(sid) <- Netlist.Builder.add_input ~name:sig_names.(sid) builder)
-      inputs;
-    (* Topologically order the defined signals; raises on cycles.  The
-       DFS runs on an explicit stack — a million-gate chain is only a
-       long walk, not a call-stack overflow — and reproduces the
-       recursive post-order exactly (arguments left to right, then the
-       signal), so node ids of a parsed netlist are unchanged.  A frame
-       is [2*sid + done_flag]; pushing every argument (one push per
-       edge) keeps the walk linear while letting the pop detect cycles:
-       popping a second not-done frame for a signal still marked
-       visiting means it is its own ancestor. *)
-    let order = Array.make (max n 1) 0 in
-    let order_count = ref 0 in
-    let state = Bytes.make n '\000' (* 0 new, 1 visiting, 2 done *) in
-    let stack = ref (Array.make 1024 0) in
-    let sp = ref 0 in
-    let push frame =
-      if !sp = Array.length !stack then begin
-        let bigger = Array.make (2 * !sp) 0 in
-        Array.blit !stack 0 bigger 0 !sp;
-        stack := bigger
-      end;
-      !stack.(!sp) <- frame;
-      incr sp
-    in
-    let visit root =
-      push (root * 2);
-      while !sp > 0 do
-        decr sp;
-        let frame = !stack.(!sp) in
-        let sid = frame lsr 1 in
-        if frame land 1 = 1 then begin
-          Bytes.set state sid '\002';
-          order.(!order_count) <- sid;
-          incr order_count
-        end
-        else
-          match Bytes.get state sid with
-          | '\002' -> ()
-          | '\001' ->
-            raise (Error (Printf.sprintf "combinational cycle through %S" sig_names.(sid)))
-          | _ ->
-            if defined sid then begin
-              Bytes.set state sid '\001';
-              push ((sid * 2) + 1);
-              let args = sig_args.(sid) in
-              for i = Array.length args - 1 downto 0 do
-                push (args.(i) * 2)
-              done
-            end
-      done
-    in
-    List.iter visit outputs;
-    (* Check every referenced signal resolves to an input or a definition. *)
-    for sid = 0 to n - 1 do
-      if defined sid then
-        Array.iter
-          (fun a ->
-            if (not (defined a)) && ids.(a) < 0 then
-              raise (Error (Printf.sprintf "undefined signal %S" sig_names.(a))))
-          sig_args.(sid)
-    done;
-    (* Emission, in topological order.  Functions that map to a single
-       library cell keep the signal name; decomposed ones get it on
-       their final gate only. *)
-    for k = 0 to !order_count - 1 do
-      let sid = order.(k) in
-      let signal = sig_names.(sid) in
-      let args = sig_args.(sid) in
-      let arg_ids = Array.map (fun a -> ids.(a)) args in
-      let direct kind = Netlist.Builder.add_gate ~name:signal builder kind arg_ids in
-      let id =
-        match (sig_funcs.(sid), Array.length args) with
-        | F_not, 1 -> direct Gate_kind.Inv
-        | F_not, _ -> raise (Error (Printf.sprintf "NOT %S needs one argument" signal))
-        | F_buff, 1 ->
-          Netlist.Builder.add_gate ~name:signal builder Gate_kind.Inv
-            [| Logic_build.inv builder arg_ids.(0) |]
-        | F_buff, _ -> raise (Error (Printf.sprintf "BUFF %S needs one argument" signal))
-        | F_nand, 2 -> direct Gate_kind.Nand2
-        | F_nand, 3 -> direct Gate_kind.Nand3
-        | F_nand, 4 -> direct Gate_kind.Nand4
-        | F_nor, 2 -> direct Gate_kind.Nor2
-        | F_nor, 3 -> direct Gate_kind.Nor3
-        | F_nor, 4 -> direct Gate_kind.Nor4
-        | F_and, _ -> Logic_build.and_of builder (Array.to_list arg_ids)
-        | F_nand, _ -> Logic_build.nand_of builder (Array.to_list arg_ids)
-        | F_or, _ -> Logic_build.or_of builder (Array.to_list arg_ids)
-        | F_nor, _ -> Logic_build.nor_of builder (Array.to_list arg_ids)
-        | F_xor, _ -> Logic_build.xor_of builder (Array.to_list arg_ids)
-        | F_xnor, 2 -> Logic_build.xnor2 builder arg_ids.(0) arg_ids.(1)
-        | F_xnor, _ -> raise (Error (Printf.sprintf "XNOR %S needs two arguments" signal))
-        | F_dff, _ -> assert false (* cut before emission *)
-      in
-      ids.(sid) <- id
-    done;
-    List.iter
-      (fun sid ->
-        match ids.(sid) with
-        | -1 -> raise (Error (Printf.sprintf "undefined output signal %S" sig_names.(sid)))
-        | id -> Netlist.Builder.mark_output ~name:sig_names.(sid) builder id)
-      outputs;
-    Ok (Netlist.Builder.finish builder)
-  with
-  | Error msg -> Error msg
-  | Invalid_argument msg -> Error msg
+    Logic_build.elaborate ~name (fun define ->
+        let inputs = ref [] and outputs = ref [] and dff_cuts = ref [] in
+        iter_lines source (fun line_no line ->
+            match parse_line line_no line with
+            | None -> ()
+            | Some (S_input s) -> inputs := s :: !inputs
+            | Some (S_output s) -> outputs := s :: !outputs
+            | Some (S_dff { signal; args = [ data ] }) ->
+              (* Cut the flop: output side becomes an input, data side a
+                 pseudo primary output so its cone is preserved. *)
+              inputs := signal :: !inputs;
+              dff_cuts := data :: !dff_cuts
+            | Some (S_dff { signal; _ }) ->
+              raise (Error (Printf.sprintf "DFF %S needs one argument" signal))
+            | Some (S_def { signal; func; args }) -> define signal func args);
+        (List.rev !inputs, List.rev !outputs @ List.rev !dff_cuts))
+  with Error msg -> Error msg
 
 let read_file path =
   match

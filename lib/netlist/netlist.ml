@@ -173,6 +173,55 @@ let iter_gates t f =
     (fun i n -> match n with Primary_input -> () | Cell { kind; fanin } -> f i kind fanin)
     t.nodes
 
+exception Cycle of int
+
+(* The DFS runs on an explicit stack — a million-gate chain is only a
+   long walk, not a call-stack overflow — and reproduces the recursive
+   post-order exactly (fan-ins left to right, then the node).  A frame is
+   [2*id + done_flag]; pushing every fan-in (one push per edge) keeps the
+   walk linear while letting the pop detect cycles: popping a second
+   not-done frame for a node still marked visiting means it is its own
+   ancestor. *)
+let postorder ~fanin n roots f =
+  let state = Bytes.make n '\000' (* 0 new, 1 visiting, 2 done *) in
+  let stack = ref (Array.make 1024 0) in
+  let sp = ref 0 in
+  let push frame =
+    if !sp = Array.length !stack then begin
+      let bigger = Array.make (2 * !sp) 0 in
+      Array.blit !stack 0 bigger 0 !sp;
+      stack := bigger
+    end;
+    !stack.(!sp) <- frame;
+    incr sp
+  in
+  Array.iter
+    (fun root ->
+      push (root * 2);
+      while !sp > 0 do
+        decr sp;
+        let frame = !stack.(!sp) in
+        let id = frame lsr 1 in
+        if frame land 1 = 1 then begin
+          Bytes.set state id '\002';
+          f id
+        end
+        else
+          match Bytes.get state id with
+          | '\002' -> ()
+          | '\001' -> raise (Cycle id)
+          | _ ->
+            let args = fanin id in
+            if Array.length args > 0 then begin
+              Bytes.set state id '\001';
+              push ((id * 2) + 1);
+              for i = Array.length args - 1 downto 0 do
+                push (args.(i) * 2)
+              done
+            end
+      done)
+    roots
+
 let level_of t = t.levels
 
 let depth t = Array.fold_left max 0 t.levels

@@ -81,6 +81,20 @@ val is_input : t -> int -> bool
 val iter_gates : t -> (int -> Gate_kind.t -> int array -> unit) -> unit
 (** Visit every cell in topological (id) order. *)
 
+exception Cycle of int
+(** Raised by {!postorder} with a node reached from itself. *)
+
+val postorder : fanin:(int -> int array) -> int -> int array -> (int -> unit) -> unit
+(** [postorder ~fanin n roots f] walks the graph on nodes [0 .. n-1]
+    depth first from each root in turn and calls [f] once on every
+    reached node with a non-empty [fanin], after all of its fan-ins (left
+    to right): the recursive post-order, on an explicit stack so that a
+    million-node chain cannot overflow the call stack.  Nodes with an
+    empty fan-in (primary inputs, undriven signals) are leaves and are not
+    passed to [f].  On a netlist, [postorder ~fanin:(fanin t) (node_count
+    t) (outputs t)] visits the gates in the outputs' cones.
+    @raise Cycle [id] when [id] is reached from itself. *)
+
 val level_of : t -> int array
 (** Logic depth of each node: 0 for inputs, 1 + max fan-in level for
     cells. *)

@@ -98,22 +98,16 @@ let tokenize source =
   done;
   List.rev !tokens
 
-type primitive = P_and | P_nand | P_or | P_nor | P_xor | P_xnor | P_not | P_buf
-
 let primitive_of = function
-  | "and" -> Some P_and
-  | "nand" -> Some P_nand
-  | "or" -> Some P_or
-  | "nor" -> Some P_nor
-  | "xor" -> Some P_xor
-  | "xnor" -> Some P_xnor
-  | "not" -> Some P_not
-  | "buf" -> Some P_buf
+  | "and" -> Some Logic_build.And
+  | "nand" -> Some Logic_build.Nand
+  | "or" -> Some Logic_build.Or
+  | "nor" -> Some Logic_build.Nor
+  | "xor" -> Some Logic_build.Xor
+  | "xnor" -> Some Logic_build.Xnor
+  | "not" -> Some Logic_build.Not
+  | "buf" -> Some Logic_build.Buf
   | _ -> None
-
-type statement =
-  | S_ports of [ `Input | `Output | `Wire ] * string list
-  | S_instance of { prim : primitive; out : string; ins : string list }
 
 (* Parse one comma-separated identifier list up to the semicolon. *)
 let rec parse_ident_list tokens acc =
@@ -127,7 +121,7 @@ let rec parse_ident_list tokens acc =
   | (_, line) :: _ -> fail "line %d: expected identifier" line
   | [] -> fail "unexpected end of file in declaration"
 
-let parse_instance prim tokens =
+let parse_instance func tokens =
   (* Optional instance name, then (out, in...) ; *)
   let tokens =
     match tokens with
@@ -145,12 +139,13 @@ let parse_instance prim tokens =
       | [] -> fail "unexpected end of file in primitive instance"
     in
     (match connections rest [] with
-     | out :: ins, more when ins <> [] || prim = P_not || prim = P_buf ->
-       (S_instance { prim; out; ins }, more)
+     | out :: (_ :: _ as ins), more -> ((out, func, ins), more)
      | _ -> fail "primitive instance needs an output and at least one input")
   | (_, line) :: _ -> fail "line %d: expected '(' after primitive" line
   | [] -> fail "unexpected end of file after primitive"
 
+(* The module name, then its inputs, outputs and primitive instances in
+   source order; wire declarations carry nothing the elaborator needs. *)
 let parse tokens =
   let module_name, tokens =
     match tokens with
@@ -164,104 +159,37 @@ let parse tokens =
     | _ :: rest -> skip_header rest
     | [] -> fail "unexpected end of file in module header"
   in
-  let tokens = skip_header tokens in
-  let rec statements toks acc =
+  let rec statements toks inputs outputs instances =
     match toks with
-    | (T_endmodule, _) :: _ -> List.rev acc
+    | (T_endmodule, _) :: _ ->
+      (List.concat (List.rev inputs), List.concat (List.rev outputs), List.rev instances)
     | (T_input, _) :: rest ->
       let names, more = parse_ident_list rest [] in
-      statements more (S_ports (`Input, names) :: acc)
+      statements more (names :: inputs) outputs instances
     | (T_output, _) :: rest ->
       let names, more = parse_ident_list rest [] in
-      statements more (S_ports (`Output, names) :: acc)
+      statements more inputs (names :: outputs) instances
     | (T_wire, _) :: rest ->
-      let names, more = parse_ident_list rest [] in
-      statements more (S_ports (`Wire, names) :: acc)
+      let _, more = parse_ident_list rest [] in
+      statements more inputs outputs instances
     | (T_ident word, line) :: rest ->
       (match primitive_of (String.lowercase_ascii word) with
-       | Some prim ->
-         let stmt, more = parse_instance prim rest in
-         statements more (stmt :: acc)
+       | Some func ->
+         let instance, more = parse_instance func rest in
+         statements more inputs outputs (instance :: instances)
        | None -> fail "line %d: unsupported construct %S (gate-level subset only)" line word)
     | (_, line) :: _ -> fail "line %d: unexpected token" line
     | [] -> fail "missing 'endmodule'"
   in
-  (module_name, statements tokens [])
+  (module_name, statements (skip_header tokens) [] [] [])
 
 let of_string ?name source =
-  try
-    let module_name, statements = parse (tokenize source) in
-    let design = match name with Some n -> n | None -> module_name in
-    let inputs = ref [] and outputs = ref [] in
-    let drivers = Hashtbl.create 64 in
-    List.iter
-      (function
-        | S_ports (`Input, names) -> inputs := !inputs @ names
-        | S_ports (`Output, names) -> outputs := !outputs @ names
-        | S_ports (`Wire, _) -> ()
-        | S_instance { prim; out; ins } ->
-          if Hashtbl.mem drivers out then fail "net %S driven twice" out;
-          Hashtbl.replace drivers out (prim, ins))
-      statements;
-    if !outputs = [] then fail "module has no outputs";
-    let builder = Netlist.Builder.create ~name:design () in
-    let ids = Hashtbl.create 64 in
-    List.iter
-      (fun s ->
-        if not (Hashtbl.mem ids s) then
-          Hashtbl.replace ids s (Netlist.Builder.add_input ~name:s builder))
-      !inputs;
-    (* Topological emission over the driver graph. *)
-    let state = Hashtbl.create 64 in
-    let rec emit net_name =
-      match Hashtbl.find_opt ids net_name with
-      | Some id -> id
-      | None ->
-        (match Hashtbl.find_opt state net_name with
-         | Some () -> fail "combinational cycle through %S" net_name
-         | None ->
-           Hashtbl.replace state net_name ();
-           (match Hashtbl.find_opt drivers net_name with
-            | None -> fail "undriven net %S" net_name
-            | Some (prim, ins) ->
-              let input_ids = List.map emit ins in
-              let direct kind =
-                Netlist.Builder.add_gate ~name:net_name builder kind
-                  (Array.of_list input_ids)
-              in
-              let id =
-                match (prim, input_ids) with
-                | P_not, [ a ] ->
-                  Netlist.Builder.add_gate ~name:net_name builder Gate_kind.Inv [| a |]
-                | P_not, _ -> fail "'not' takes exactly one input"
-                | P_buf, [ a ] ->
-                  Netlist.Builder.add_gate ~name:net_name builder Gate_kind.Inv
-                    [| Logic_build.inv builder a |]
-                | P_buf, _ -> fail "'buf' takes exactly one input"
-                | P_nand, [ _; _ ] -> direct Gate_kind.Nand2
-                | P_nand, [ _; _; _ ] -> direct Gate_kind.Nand3
-                | P_nand, [ _; _; _; _ ] -> direct Gate_kind.Nand4
-                | P_nor, [ _; _ ] -> direct Gate_kind.Nor2
-                | P_nor, [ _; _; _ ] -> direct Gate_kind.Nor3
-                | P_nor, [ _; _; _; _ ] -> direct Gate_kind.Nor4
-                | P_and, _ -> Logic_build.and_of builder input_ids
-                | P_nand, _ -> Logic_build.nand_of builder input_ids
-                | P_or, _ -> Logic_build.or_of builder input_ids
-                | P_nor, _ -> Logic_build.nor_of builder input_ids
-                | P_xor, _ -> Logic_build.xor_of builder input_ids
-                | P_xnor, [ a; b ] -> Logic_build.xnor2 builder a b
-                | P_xnor, _ -> fail "'xnor' takes exactly two inputs"
-              in
-              Hashtbl.replace ids net_name id;
-              id))
-    in
-    List.iter
-      (fun out -> Netlist.Builder.mark_output ~name:out builder (emit out))
-      !outputs;
-    Ok (Netlist.Builder.finish builder)
-  with
-  | Error msg -> Error msg
-  | Invalid_argument msg -> Error msg
+  match parse (tokenize source) with
+  | module_name, (inputs, outputs, instances) ->
+    Logic_build.elaborate ~name:(Option.value name ~default:module_name) (fun define ->
+        List.iter (fun (signal, func, args) -> define signal func args) instances;
+        (inputs, outputs))
+  | exception Error msg -> Error msg
 
 let read_file path =
   match

@@ -4,10 +4,13 @@
     benchmark netlists use: one module with scalar ports, [input] /
     [output] / [wire] declarations, and [nand] / [nor] / [and] / [or] /
     [xor] / [xnor] / [not] / [buf] primitive instances (instance names
-    optional, multi-input primitives allowed).  Rich functions are
-    lowered onto the cell library with {!Logic_build}, like the [.bench]
-    reader.  Vectors, assigns, behavioural constructs and hierarchies
-    are rejected with a clear error. *)
+    optional, multi-input primitives allowed).  The parser hands the
+    ports and instances to {!Logic_build.elaborate}, the elaborator the
+    [.bench] reader uses, so a statement set reads the same in both
+    formats and builds the identical netlist; a net driven twice, or
+    declared [input] and driven by an instance, is refused.  Vectors,
+    assigns, behavioural constructs and hierarchies are rejected with a
+    clear error. *)
 
 val of_string : ?name:string -> string -> (Netlist.t, string) result
 (** Parse Verilog source.  The design name comes from the module header

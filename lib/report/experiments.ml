@@ -590,17 +590,19 @@ let ablation t =
       ]
     rows
 
-let all t =
+let artifacts =
   [
-    ("table1", table1 t);
-    ("table2", table2 t);
-    ("table3", table3 t);
-    ("table4", table4 t);
-    ("table5", table5 t);
-    ("figure1", figure1 t);
-    ("figure2", figure2 t);
-    ("figure3", figure3 t);
-    ("figure4", figure4 t);
-    ("figure5", figure5 t);
-    ("ablation", ablation t);
+    ("table1", table1);
+    ("table2", table2);
+    ("table3", table3);
+    ("table4", table4);
+    ("table5", table5);
+    ("figure1", figure1);
+    ("figure2", figure2);
+    ("figure3", figure3);
+    ("figure4", figure4);
+    ("figure5", fun t -> figure5 ~csv_path:"figure5.csv" t);
+    ("ablation", ablation);
   ]
+
+let all t = List.map (fun (id, render) -> (id, render t)) artifacts

@@ -75,5 +75,10 @@ val ablation : t -> string
 (** Knock-out study of the design choices DESIGN.md calls out: bound
     ordering, pin reordering, gate-tree order. *)
 
+val artifacts : (string * (t -> string)) list
+(** Every artifact in paper order, [(id, renderer)]: the one table behind
+    [standbyopt report].  The [figure5] renderer also writes its series
+    to [figure5.csv] in the working directory. *)
+
 val all : t -> (string * string) list
-(** Every artifact in paper order: [(id, rendered)]. *)
+(** Every artifact of {!artifacts} rendered: [(id, rendered)]. *)

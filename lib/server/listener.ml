@@ -9,8 +9,9 @@ module Json = Standby_telemetry.Json
 type conn = {
   fd : Unix.file_descr;
   alive : bool Atomic.t;
-  closed : bool Atomic.t;  (* fd released — guards against double close *)
-  write_mutex : Mutex.t;
+  mutable closed : bool;  (* fd released; set under both mutexes *)
+  write_mutex : Mutex.t;  (* serializes writes, and a close after them *)
+  fd_mutex : Mutex.t;  (* orders a hang-up against the close *)
   peer : string;
 }
 
@@ -178,12 +179,9 @@ let status t ~capacity ~workers ~incumbent_a ~backends =
    means the peer is gone — flip [alive] so its remaining requests
    cancel. *)
 let send conn response =
-  Mutex.lock conn.write_mutex;
   let outcome =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock conn.write_mutex)
-      (fun () ->
-        if Atomic.get conn.alive then
+    Mutex.protect conn.write_mutex (fun () ->
+        if Atomic.get conn.alive && not conn.closed then
           Protocol.Frame.write conn.fd (Json.to_string (Protocol.response_to_json response))
         else Error "connection closed")
   in
@@ -196,18 +194,30 @@ let send conn response =
         ~fields:[ Log.str "peer" conn.peer; Log.str "error" msg ]
     end
 
-let close_conn t conn =
+(* The drain sweep only hangs up: a reader blocked in [read] wakes with
+   EOF, and a writer blocked on a peer that stopped reading fails.  The
+   reader thread alone closes the descriptor.  Were the sweep to close
+   it, the reader — between two reads — could read the same number after
+   the kernel had handed it to a new socket of this process, and swallow
+   that socket's bytes (a routed client's reply, for one).  The close
+   waits for a write in progress ([write_mutex]) and is ordered against
+   hang-ups ([fd_mutex]), so nothing touches a number the descriptor no
+   longer owns. *)
+let hang_up conn =
   Atomic.set conn.alive false;
+  Mutex.protect conn.fd_mutex (fun () ->
+      if not conn.closed then
+        try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+
+let close_conn t conn =
   Mutex.lock t.mutex;
   t.conns <- List.filter (fun c -> c != conn) t.conns;
   Mutex.unlock t.mutex;
-  (* The fd may be raced for by the reader's cleanup and the drain
-     sweep; only the first closer releases it, so a recycled descriptor
-     is never closed by mistake. *)
-  if not (Atomic.exchange conn.closed true) then begin
-    (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
+  hang_up conn;
+  Mutex.protect conn.write_mutex (fun () ->
+      Mutex.protect conn.fd_mutex (fun () ->
+          conn.closed <- true;
+          try Unix.close conn.fd with Unix.Unix_error _ -> ()))
 
 let protocol_error t conn message =
   Metrics.incr t.protocol_errors;
@@ -252,8 +262,9 @@ let accept_one t handler =
       {
         fd;
         alive = Atomic.make true;
-        closed = Atomic.make false;
+        closed = false;
         write_mutex = Mutex.create ();
+        fd_mutex = Mutex.create ();
         peer = peer_name fd;
       }
     in
@@ -303,7 +314,7 @@ let run t ~handler ~on_drain =
     Mutex.unlock t.mutex;
     snapshot
   in
-  List.iter (fun conn -> close_conn t conn) conns;
+  List.iter hang_up conns;
   Log.info "drain complete"
     ~fields:
       [

@@ -25,27 +25,7 @@ let canonical net =
       fanin;
     Buffer.add_string buf ")\n"
   in
-  (* Iterative post-order (fan-ins in pin order before the gate) so
-     pathological fan-in chains cannot overflow the call stack. *)
-  let visit root =
-    let stack = ref [ (root, false) ] in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | (id, children_done) :: rest ->
-        stack := rest;
-        if canon.(id) < 0 then
-          if children_done then emit id
-          else begin
-            stack := (id, true) :: !stack;
-            let fanin = Netlist.fanin net id in
-            for pin = Array.length fanin - 1 downto 0 do
-              if canon.(fanin.(pin)) < 0 then stack := (fanin.(pin), false) :: !stack
-            done
-          end
-    done
-  in
-  Array.iter visit (Netlist.outputs net);
+  Netlist.postorder ~fanin:(Netlist.fanin net) (Netlist.node_count net) (Netlist.outputs net) emit;
   Buffer.add_string buf "outputs ";
   Array.iteri
     (fun i id ->

@@ -8,8 +8,9 @@
 
     The netlist is canonicalized first, so the key is invariant under
     gate insertion order, node renumbering and net renaming: gates are
-    renumbered by a depth-first walk of the output cones (outputs in
-    declaration order, fan-ins in pin order), and only the primary
+    renumbered by a depth-first walk of the output cones
+    ({!Standby_netlist.Netlist.postorder}: outputs in declaration order,
+    fan-ins in pin order), and only the primary
     inputs keep their declaration positions — those define the sleep
     vector, so they are semantically ordered.  Logic not reachable from
     any output does not affect the key (it does not affect the result

@@ -42,7 +42,7 @@ type entry = {
    being linked up. *)
 type remote = {
   fetch : key:string -> entry option;
-  publish : (key:string -> entry -> unit) option;
+  publish : key:string -> entry -> unit;
 }
 
 type t = {
@@ -233,8 +233,7 @@ let store t ~key entry =
   store_local t ~key entry;
   match t.remote with
   | None -> ()
-  | Some { publish = None; _ } -> ()
-  | Some { publish = Some publish; _ } ->
+  | Some { publish; _ } ->
     Metrics.incr m_publishes;
     (try publish ~key entry with _ -> ())
 

@@ -45,11 +45,11 @@ val entry_of_json : Standby_telemetry.Json.t -> (entry, string) result
 (** The shared tier, as injected closures (the peer client lives in a
     higher layer).  [fetch] answers a digest lookup from a peer store or
     [None] — it must swallow its own transport failures; exceptions are
-    treated as misses.  [publish] (optional) offers a freshly computed
-    entry to peers, best-effort. *)
+    treated as misses.  [publish] offers a freshly computed entry to
+    peers, best-effort; its exceptions are swallowed. *)
 type remote = {
   fetch : key:string -> entry option;
-  publish : (key:string -> entry -> unit) option;
+  publish : key:string -> entry -> unit;
 }
 
 val create : ?max_entries:int -> dir:string -> unit -> t
@@ -95,8 +95,8 @@ val note_corrupt : unit -> unit
     entry whose re-evaluated leakage contradicts its stored total. *)
 
 val store : t -> key:string -> entry -> unit
-(** Persist locally, then offer to the shared tier's [publish] hook (if
-    any, best-effort, counted on [cache.publishes]). *)
+(** Persist locally, then, when a shared tier is set, offer the entry to
+    its [publish] hook (best-effort, counted on [cache.publishes]). *)
 
 val store_local : t -> key:string -> entry -> unit
 (** {!store} without the publish — what a daemon applies on a peer's

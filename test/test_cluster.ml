@@ -2,7 +2,8 @@
    stability under membership change), the backend health state machine,
    and the router end to end — routed results bit-identical to direct
    and offline runs, failover past a dead ring owner, the shared cache
-   tier answering across backends, and administrative draining. *)
+   tier answering across backends, administrative draining, and a drain
+   that never hands a busy reader's socket to another. *)
 
 module Process = Standby_device.Process
 module Version = Standby_cells.Version
@@ -576,6 +577,131 @@ let test_router_drain_rejects_new_work () =
             ()
           | Error e -> Alcotest.failf "unexpected error: %s" (Client.error_message e)))
 
+(* A stand-in backend: it refuses status probes at once, so the router's
+   prober never holds up a drain, and keeps every other request open,
+   unanswered, until [release]. *)
+type holder = {
+  hold_path : string;
+  hold_listen : Unix.file_descr;
+  held : Unix.file_descr list ref;
+  hold_mutex : Mutex.t;
+  hold_stop : bool Atomic.t;
+  hold_thread : Thread.t;
+}
+
+let start_holder () =
+  let hold_path = fresh_socket () in
+  let hold_listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind hold_listen (Unix.ADDR_UNIX hold_path);
+  Unix.listen hold_listen 16;
+  let held = ref [] and hold_mutex = Mutex.create () and hold_stop = Atomic.make false in
+  let serve fd =
+    let request =
+      Result.bind
+        (Result.map_error (fun _ -> "") (Protocol.Frame.read (Protocol.Frame.reader fd)))
+        (fun line -> Result.bind (Standby_telemetry.Json.of_string line) Protocol.request_of_json)
+    in
+    match request with
+    | Ok Protocol.Status | Error _ -> Unix.close fd
+    | Ok _ -> Mutex.protect hold_mutex (fun () -> held := fd :: !held)
+  in
+  let accept_loop () =
+    while not (Atomic.get hold_stop) do
+      match Unix.select [ hold_listen ] [] [] 0.05 with
+      | [ _ ], _, _ -> serve (fst (Unix.accept hold_listen))
+      | _ -> ()
+    done
+  in
+  {
+    hold_path;
+    hold_listen;
+    held;
+    hold_mutex;
+    hold_stop;
+    hold_thread = Thread.create accept_loop ();
+  }
+
+let held_count h = Mutex.protect h.hold_mutex (fun () -> List.length !(h.held))
+
+let release h =
+  Mutex.protect h.hold_mutex (fun () ->
+      List.iter Unix.close !(h.held);
+      h.held := [])
+
+let stop_holder h =
+  release h;
+  Atomic.set h.hold_stop true;
+  Thread.join h.hold_thread;
+  Unix.close h.hold_listen;
+  Sys.remove h.hold_path
+
+(* A drain hangs up on every client connection but leaves closing the
+   descriptor to the connection's reader thread.  Here that reader is
+   busy proxying a cache read when the drain sweeps, and sockets opened
+   right after the drain take the lowest free descriptor numbers: had
+   the sweep closed the reader's descriptor, one of them would reuse its
+   number and the reader, back in its read loop, would swallow that
+   socket's bytes — how a routed reply once went missing. *)
+let test_router_drain_busy_reader () =
+  let h = start_holder () in
+  Fun.protect
+    ~finally:(fun () -> stop_holder h)
+    (fun () ->
+      let front = Protocol.Unix_socket (fresh_socket ()) in
+      let config =
+        {
+          (Router.default_config ~listen:front
+             ~backends:[ Protocol.Unix_socket h.hold_path ])
+          with
+          Router.probe_interval_s = 0.1;
+        }
+      in
+      let router =
+        match Router.create config with
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "router create: %s" msg
+      in
+      let thread = Thread.create Router.run router in
+      let c = connect front in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          cok (Client.send c (Protocol.Cache_get { key = "busy" }));
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while held_count h = 0 && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done;
+          check Alcotest.int "the cache read reached the backend" 1 (held_count h);
+          Router.request_drain router;
+          Thread.join thread;
+          let pairs = List.init 8 (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0) in
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter
+                (fun (a, b) ->
+                  Unix.close a;
+                  Unix.close b)
+                pairs)
+            (fun () ->
+              List.iter
+                (fun (a, b) ->
+                  ignore (Unix.write_substring a "ping\n" 0 5);
+                  ignore (Unix.write_substring b "ping\n" 0 5))
+                pairs;
+              (* Let the busy reader finish its request and read again. *)
+              release h;
+              Thread.delay 0.5;
+              let intact fd =
+                match Unix.select [ fd ] [] [] 1.0 with
+                | [ _ ], _, _ -> Unix.read fd (Bytes.create 16) 0 16 = 5
+                | _ -> false
+              in
+              let robbed =
+                List.filter (fun (a, b) -> not (intact a && intact b)) pairs
+              in
+              check Alcotest.int "sockets whose bytes a drained reader took" 0
+                (List.length robbed))))
+
 let () =
   Alcotest.run "standby.cluster"
     [
@@ -603,5 +729,6 @@ let () =
           quick "shared cache tier" test_shared_cache_tier;
           quick "administrative backend drain" test_admin_drain_backend;
           quick "router drain rejects new work" test_router_drain_rejects_new_work;
+          quick "drain leaves a busy reader's socket alone" test_router_drain_busy_reader;
         ] );
     ]

@@ -621,11 +621,97 @@ let test_c17_cross_format () =
     done
   | Error m, _ | _, Error m -> Alcotest.failf "read failed: %s" m
 
+(* Node for node: kinds, fan-ins, names, and input and output order. *)
+let same_structure a b =
+  Netlist.node_count a = Netlist.node_count b
+  && Netlist.inputs a = Netlist.inputs b
+  && Netlist.outputs a = Netlist.outputs b
+  && List.for_all
+       (fun i -> Netlist.node a i = Netlist.node b i && Netlist.name_of a i = Netlist.name_of b i)
+       (List.init (Netlist.node_count a) Fun.id)
+
+(* A random statement set spelled in both syntaxes: XOR/XNOR, AND/OR/
+   NAND/NOR up to six wide, NOT, BUFF, and AOI21/OAI21 as the AND+NOR /
+   OR+NAND pair the writers emit.  Outputs are the last three gates. *)
+let random_statements seed =
+  let rng = Random.State.make [| seed |] in
+  let inputs = List.init 6 (Printf.sprintf "i%d") in
+  let signals = ref (Array.of_list inputs) in
+  let definitions = ref [] in
+  let pick () = !signals.(Random.State.int rng (Array.length !signals)) in
+  let args k = List.init k (fun _ -> pick ()) in
+  let define signal func args =
+    definitions := (signal, func, args) :: !definitions;
+    signals := Array.append !signals [| signal |]
+  in
+  let gates = 40 in
+  for g = 0 to gates - 1 do
+    let signal = Printf.sprintf "g%d" g in
+    let either a b = if Random.State.bool rng then a else b in
+    match Random.State.int rng 7 with
+    | 0 -> define signal "XOR" (args (2 + Random.State.int rng 2))
+    | 1 -> define signal "XNOR" (args 2)
+    | 2 -> define signal (either "AND" "OR") (args (2 + Random.State.int rng 5))
+    | 3 -> define signal (either "NAND" "NOR") (args (1 + Random.State.int rng 6))
+    | 4 -> define signal (either "NOT" "BUFF") (args 1)
+    | _ ->
+      let inner, outer = either ("AND", "NOR") ("OR", "NAND") in
+      let aux = signal ^ "_aux" in
+      define aux inner (args 2);
+      define signal outer [ aux; pick () ]
+  done;
+  let outputs = List.init 3 (fun k -> Printf.sprintf "g%d" (gates - 1 - k)) in
+  let definitions = List.rev !definitions in
+  let bench =
+    String.concat ""
+      (List.map (Printf.sprintf "INPUT(%s)\n") inputs
+      @ List.map (Printf.sprintf "OUTPUT(%s)\n") outputs
+      @ List.map
+          (fun (signal, func, args) ->
+            Printf.sprintf "%s = %s(%s)\n" signal func (String.concat ", " args))
+          definitions)
+  in
+  let verilog =
+    Printf.sprintf "module r (%s);\n  input %s;\n  output %s;\n%sendmodule\n"
+      (String.concat ", " (inputs @ outputs))
+      (String.concat ", " inputs) (String.concat ", " outputs)
+      (String.concat ""
+         (List.map
+            (fun (signal, func, args) ->
+              let prim = if func = "BUFF" then "buf" else String.lowercase_ascii func in
+              Printf.sprintf "  %s (%s);\n" prim (String.concat ", " (signal :: args)))
+            definitions))
+  in
+  (bench, verilog)
+
 let test_cross_format_roundtrip =
   QCheck.Test.make ~count:15 ~name:"verilog(bench(net)) preserves the function"
     QCheck.(make Gen.(int_range 0 10_000))
     (fun seed ->
       let net = Standby_circuits.Random_logic.generate ~seed ~inputs:6 ~gates:30 () in
+      let structure_agrees =
+        (* Both readers build the same netlist from the same statements:
+           a generated netlist written by each writer, the first reading
+           written back as Verilog, and a statement set with the rich
+           functions only files carry. *)
+        let bench, verilog = random_statements seed in
+        match
+          ( Bench_io.of_string (Bench_io.to_string net),
+            Verilog_io.of_string (Verilog_io.to_string net),
+            Bench_io.of_string ~name:"r" bench,
+            Verilog_io.of_string verilog )
+        with
+        | Ok b, Ok v, Ok rb, Ok rv -> (
+          same_structure b v
+          && same_structure rb rv
+          &&
+          match Verilog_io.of_string (Verilog_io.to_string b) with
+          | Ok again -> same_structure b again
+          | Error _ -> false)
+        | _ -> false
+      in
+      structure_agrees
+      &&
       match Bench_io.of_string (Bench_io.to_string net) with
       | Error _ -> false
       | Ok via_bench ->
@@ -637,6 +723,21 @@ let test_cross_format_roundtrip =
              if outputs_for net v <> outputs_for via_both v then ok := false
            done;
            !ok))
+
+(* A signal that is both an input and driven has two drivers: both
+   readers refuse it, as [.bench] refuses a signal defined twice. *)
+let test_input_and_driven_refused () =
+  let bench = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\na = NOT(b)\ny = NOT(a)\n" in
+  let verilog =
+    "module m (a, b, y);\n  input a, b;\n  output y;\n  not (a, b);\n  not (y, a);\nendmodule\n"
+  in
+  let refused reader = function
+    | Ok net -> Alcotest.failf "%s read %d gates" reader (Netlist.gate_count net)
+    | Error msg ->
+      check Alcotest.string reader "signal \"a\" is both an input and driven" msg
+  in
+  refused ".bench" (Bench_io.of_string bench);
+  refused "verilog" (Verilog_io.of_string verilog)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -707,5 +808,6 @@ let () =
           quick "c17 bench file" test_c17_bench_file;
           quick "c17 cross-format" test_c17_cross_format;
           QCheck_alcotest.to_alcotest test_cross_format_roundtrip;
+          quick "input and driven refused" test_input_and_driven_refused;
         ] );
     ]

@@ -472,6 +472,25 @@ let test_engine_failure () =
   check Alcotest.bool "failed outcome has no key or result" true
     (ghost.Engine.key = None && ghost.Engine.result = None)
 
+(* Stores on disk are keyed by these digests (heu1, penalty 0.05, the
+   default process and library mode), so no refactor of the canonical
+   walk may move them: the hex strings were computed before the walk
+   moved into [Netlist.postorder]. *)
+let test_digest_pinned () =
+  let key net =
+    Cache_key.digest ~net ~process:Process.default ~mode:Version.default_mode ~penalty:0.05
+      ~method_:Optimizer.Heuristic_1
+  in
+  let c17 =
+    let path =
+      List.find Sys.file_exists [ Filename.concat "../data" "c17.bench"; "data/c17.bench" ]
+    in
+    match Bench_io.read_file path with Ok net -> net | Error msg -> Alcotest.fail msg
+  in
+  check Alcotest.string "data/c17.bench" "c88f52331547cc1d5e959247300c5d43" (key c17);
+  check Alcotest.string "built-in c432" "1f3d12bef5370a76fb5db7d515e27b25"
+    (key (Benchmarks.circuit "c432"))
+
 let () =
   Alcotest.run "standby.service"
     [
@@ -480,6 +499,7 @@ let () =
         [
           quick "canonical invariance" test_canonical_invariance;
           quick "digest sensitivity" test_digest_sensitivity;
+          quick "pinned digests" test_digest_pinned;
         ] );
       ( "result-store",
         [
