@@ -47,8 +47,6 @@ val of_kind : Standby_netlist.Gate_kind.t -> cell
 val network_devices : network -> device list
 (** Devices of one network in depth-first order. *)
 
-val network_device_count : network -> int
-
 val device_count : cell -> int
 
 val devices : cell -> device array

@@ -14,15 +14,6 @@
     All transport failures degrade to misses or dropped publishes; the
     tier can slow a cold lookup down, never make it fail. *)
 
-val remote :
-  ?connect_timeout_s:float ->
-  peers:Standby_server.Protocol.address list ->
-  unit ->
-  Standby_service.Result_store.remote
-(** The fetch/publish closure pair over [peers], dialing with
-    [connect_timeout_s] (default 2 s — a lookup must stay cheaper than
-    the recompute it is trying to avoid). *)
-
 val attach :
   ?connect_timeout_s:float ->
   store:Standby_service.Result_store.t ->

@@ -47,9 +47,6 @@ let state t =
   else if t.consecutive_failures < down_threshold then Suspect
   else Down
 
-let draining t = t.is_draining
-let drained t = t.is_drained
-
 let note_success t ~now ?in_flight ?incumbent_a () =
   t.consecutive_failures <- 0;
   t.last_success <- Some now;
@@ -80,7 +77,6 @@ let routable t ~now = assignable t && state t <> Down && not (backpressured t ~n
 
 let begin_request t = t.outstanding <- t.outstanding + 1
 let end_request t = t.outstanding <- max 0 (t.outstanding - 1)
-let outstanding t = t.outstanding
 
 let mark_draining t = if not t.is_drained then t.is_draining <- true
 

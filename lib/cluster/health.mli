@@ -36,8 +36,6 @@ val create :
 val name : t -> string
 val address : t -> Standby_server.Protocol.address
 val state : t -> state
-val draining : t -> bool
-val drained : t -> bool
 
 val note_success : t -> now:float -> ?in_flight:int -> ?incumbent_a:float -> unit -> unit
 (** Any successful exchange: resets failures, schedules the next routine
@@ -51,8 +49,6 @@ val note_failure : t -> now:float -> unit
     failure count and pushes the next probe out exponentially. *)
 
 val note_backpressure : t -> now:float -> retry_after_s:float -> unit
-
-val backpressured : t -> now:float -> bool
 
 val probe_due : t -> now:float -> bool
 (** Never true for a drained backend — there is nothing left to learn. *)
@@ -70,7 +66,6 @@ val begin_request : t -> unit
 (** Router-side outstanding-request accounting, for drain tracking. *)
 
 val end_request : t -> unit
-val outstanding : t -> int
 
 val mark_draining : t -> unit
 

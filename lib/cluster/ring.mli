@@ -44,7 +44,3 @@ val replicas : t -> key:string -> string list
 
 val remove : t -> string -> t
 (** Ring without [name]'s points; a no-op if [name] is not a member. *)
-
-val hash : string -> int64
-(** The point/key hash (first 8 bytes of MD5, big-endian), exposed for
-    the property tests. *)

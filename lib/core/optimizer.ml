@@ -378,20 +378,3 @@ let run ?config ?deadline_s ?interrupt ?on_incumbent ?(jobs = 1) lib net ~penalt
     degraded;
   })
 
-let reduction_factor ~reference result = reference /. result.breakdown.Evaluate.total
-
-let sweep ?config lib net ~penalties method_ =
-  List.map (fun penalty -> (penalty, run ?config lib net ~penalty method_)) penalties
-
-let pareto_front points =
-  let by_delay =
-    List.sort (fun (_, a) (_, b) -> compare a.delay b.delay) points
-  in
-  let rec keep best_leak = function
-    | [] -> []
-    | ((_, r) as point) :: rest ->
-      if r.breakdown.Evaluate.total < best_leak -. 1e-18 then
-        point :: keep r.breakdown.Evaluate.total rest
-      else keep best_leak rest
-  in
-  keep infinity by_delay

@@ -114,22 +114,3 @@ val run :
     independent work to hand out (Heuristic 2, exact, partition); a
     single-descent method stays sequential regardless.
     @raise Invalid_argument if [penalty < 0] or [jobs < 1]. *)
-
-val reduction_factor : reference:float -> result -> float
-(** [reference /. leakage] — the "X" columns of Tables 3–5. *)
-
-val sweep :
-  ?config:State_tree.config ->
-  Standby_cells.Library.t ->
-  Standby_netlist.Netlist.t ->
-  penalties:float list ->
-  method_ ->
-  (float * result) list
-(** [run] at each penalty, in the given order — the Figure 5 axis as an
-    API.  Results are leakage-monotone in the penalty up to heuristic
-    noise; consumers that need a strict Pareto front can filter with
-    {!pareto_front}. *)
-
-val pareto_front : (float * result) list -> (float * result) list
-(** Keep the points not dominated in (achieved delay, leakage); output
-    is sorted by delay. *)

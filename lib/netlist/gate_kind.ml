@@ -55,10 +55,6 @@ let bits_of_state kind state =
     invalid_arg "Gate_kind.bits_of_state: state out of range";
   Array.init k (fun i -> (state lsr (k - 1 - i)) land 1 = 1)
 
-let equal (a : t) b = a = b
-
-let pp fmt t = Format.pp_print_string fmt (name t)
-
 let index = function
   | Inv -> 0
   | Nand2 -> 1

@@ -38,8 +38,5 @@ val state_of_bits : t -> bool array -> int
 val bits_of_state : t -> int -> bool array
 (** Inverse of {!state_of_bits}. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
 val index : t -> int
 (** Position of the kind in {!all}; a dense index for per-kind tables. *)

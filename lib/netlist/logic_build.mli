@@ -22,9 +22,6 @@ val nand_of : Netlist.Builder.t -> int list -> int
     single cell; wider gates become a NAND of AND subtrees.
     @raise Invalid_argument on an empty list. *)
 
-val nor_of : Netlist.Builder.t -> int list -> int
-(** k-input NOR, dual of {!nand_of}. *)
-
 val and_of : Netlist.Builder.t -> int list -> int
 (** k-input AND ([nand_of] plus an inverter; the single-element list is
     the identity). *)
@@ -34,12 +31,6 @@ val or_of : Netlist.Builder.t -> int list -> int
 
 val xor2 : Netlist.Builder.t -> int -> int -> int
 (** Two-input XOR as the standard four-NAND network. *)
-
-val xnor2 : Netlist.Builder.t -> int -> int -> int
-(** Two-input XNOR (XOR plus inverter). *)
-
-val xor_of : Netlist.Builder.t -> int list -> int
-(** k-input XOR chain.  @raise Invalid_argument on an empty list. *)
 
 val mux2 : Netlist.Builder.t -> sel:int -> int -> int -> int
 (** [mux2 b ~sel a0 a1] selects [a0] when [sel] is low, [a1] when high,
@@ -70,10 +61,11 @@ val elaborate :
     post-order of {!Netlist.postorder} from the outputs in order, then
     the output marks.  NOT, and NAND/NOR of two to four arguments, become
     one named cell; BUFF is two inverters and the rest are lowered with
-    the builders above (unnamed cells).  It refuses, with a message
-    naming the signal: a definition with no argument; a signal defined
-    twice; no outputs; a signal that is both an input and driven; a
-    combinational cycle; a definition (reached or not) reading a signal
-    that is neither an input nor defined; a wrong argument count for NOT,
-    BUFF or XNOR on a reached definition; an undriven output; an output
-    listed twice. *)
+    the builders above (unnamed cells, except that a cell driving an
+    output takes the output's name, see {!Netlist.Builder.mark_output}).
+    It refuses, with a message naming the signal: a definition with no
+    argument; a signal defined twice; no outputs; a signal that is both
+    an input and driven; a combinational cycle; a definition (reached or
+    not) reading a signal that is neither an input nor defined; a wrong
+    argument count for NOT, BUFF or XNOR on a reached definition; an
+    undriven output; an output listed twice. *)

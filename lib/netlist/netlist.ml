@@ -70,9 +70,17 @@ module Builder = struct
     let builder_nodes = Array.of_list (List.rev b.rev_nodes) in
     let n = Array.length builder_nodes in
     let nodes = Array.map (fun bn -> bn.bnode) builder_nodes in
+    (* An output whose driver was built without a name (the last cell of
+       a decomposed AND or XOR, a generator's sum bit) takes the name it
+       was declared under. *)
+    let declared = Array.make n None in
+    List.iter (fun (id, name) -> declared.(id) <- name) b.rev_outputs;
     let names =
       Array.mapi
-        (fun i bn -> match bn.bname with Some s -> s | None -> "n" ^ string_of_int i)
+        (fun i bn ->
+          match (bn.bname, declared.(i)) with
+          | Some s, _ | None, Some s -> s
+          | None, None -> "n" ^ string_of_int i)
         builder_nodes
     in
     (* Exporters rely on names being unique; auto-generated ones can

@@ -33,7 +33,8 @@ module Builder : sig
 
   val mark_output : ?name:string -> t -> int -> unit
   (** Declare an existing node as a primary output.  A node may be marked
-      at most once. *)
+      at most once.  [name] becomes the node's name at {!finish} when the
+      node was added without one. *)
 
   val node_count : t -> int
 

@@ -506,7 +506,7 @@ let figure4 t =
       ]
     [ row exact; row h1; row h2 ]
 
-let figure5 ?csv_path t =
+let figure5 t =
   let lib = library t in
   let lib_vt = Lazy.force t.lib_vt and lib_state = Lazy.force t.lib_state in
   let name = if List.mem "c7552" t.cfg.suite then "c7552" else List.hd t.cfg.suite in
@@ -528,12 +528,9 @@ let figure5 ?csv_path t =
         ])
       sweep
   in
-  (match csv_path with
-   | None -> ()
-   | Some path ->
-     Csv.write_file path
-       ~header:[ "penalty"; "heu1_uA"; "vt_state_uA"; "state_only_uA"; "average_uA" ]
-       ~rows);
+  Csv.write_file "figure5.csv"
+    ~header:[ "penalty"; "heu1_uA"; "vt_state_uA"; "state_only_uA"; "average_uA" ]
+    ~rows;
   Ascii_table.render
     ~title:
       (Printf.sprintf
@@ -601,8 +598,6 @@ let artifacts =
     ("figure2", figure2);
     ("figure3", figure3);
     ("figure4", figure4);
-    ("figure5", fun t -> figure5 ~csv_path:"figure5.csv" t);
+    ("figure5", figure5);
     ("ablation", ablation);
   ]
-
-let all t = List.map (fun (id, render) -> (id, render t)) artifacts

@@ -2,24 +2,12 @@
     the per-span wall/self-time table and the incumbent-improvement
     trajectory behind [standbyopt trace summarize]. *)
 
-val span_table : Standby_telemetry.Trace.record list -> string
-(** Per span name: count, total wall, self (total minus direct
-    children), min/max/mean — widest total first. *)
-
-val incumbent_table : Standby_telemetry.Trace.record list -> string
-(** The ["incumbent"] event trajectory: time since trace start, leakage,
-    delay and slack per improvement.  Empty string when the trace holds
-    no incumbent events. *)
-
-val tree_view : Standby_telemetry.Trace.tree list -> string
-(** The merged cross-process forest of {!Standby_telemetry.Trace.assemble}:
-    one line per span with wall and self time, children indented under
-    their (possibly remote) parents, each hop labelled role/pid, one
-    block per trace id. *)
-
 val render : Standby_telemetry.Trace.record list -> string
 (** Both views plus a one-line record census. *)
 
 val render_merged : Standby_telemetry.Trace.record list -> string
-(** {!tree_view} of the assembled forest, then the aggregate views —
-    the output of [standbyopt trace summarize --merge]. *)
+(** The assembled cross-process forest ({!Standby_telemetry.Trace.assemble}:
+    one line per span with wall and self time, children indented under
+    their possibly remote parents, each hop labelled role/pid, one block
+    per trace id), then the aggregate views — the output of
+    [standbyopt trace summarize --merge]. *)

@@ -2,8 +2,8 @@
     newline-delimited JSON, with length-guarded framing.
 
     One JSON object per line in each direction.  Every record carries
-    [{"v":…,"type":…}]; a record whose [v] falls outside
-    [min_version..version] is rejected with a structured error (the
+    [{"v":…,"type":…}]; a record whose [v] falls outside the accepted
+    window (1..2) is rejected with a structured error (the
     connection survives), so a future version bump degrades to an
     explicit "unsupported version" answer instead of a parse failure.
     Encoders stamp each frame with the {e lowest} version whose peers
@@ -36,12 +36,6 @@ val address_to_string : address -> string
 val sockaddr_of_address : address -> (Unix.sockaddr * Unix.socket_domain, string) result
 (** Resolve a TCP host (dotted quad or name lookup); the shared step of
     dialing ({!Client}) and listening ({!Listener}). *)
-
-val version : int
-(** The newest protocol version this build speaks (2). *)
-
-val min_version : int
-(** The oldest version still accepted (1). *)
 
 type source =
   | Circuit of string  (** A {!Standby_circuits.Benchmarks} name. *)

@@ -34,8 +34,6 @@ let create net =
     gate_words = 0;
   }
 
-let netlist t = t.net
-
 let block_count ~vectors =
   if vectors <= 0 then invalid_arg "Bitsim.block_count: vectors must be positive";
   (vectors + lanes - 1) / lanes
@@ -46,12 +44,6 @@ let lanes_in_block ~vectors ~block =
   if block = n - 1 then vectors - (block * lanes) else lanes
 
 let lane_mask ~lanes:n = if n >= lanes then -1 else (1 lsl n) - 1
-
-let set_input_word t position w =
-  let inputs = Netlist.inputs t.net in
-  if position < 0 || position >= Array.length inputs then
-    invalid_arg "Bitsim.set_input_word: input position out of range";
-  t.words.(inputs.(position)) <- w
 
 let input_word t position =
   let inputs = Netlist.inputs t.net in
@@ -93,8 +85,6 @@ let eval t =
          | Gate_kind.Oai21 ->
            lnot ((words.(fanin.(0)) lor words.(fanin.(1))) land words.(fanin.(2)))));
   t.gate_words <- t.gate_words + Netlist.gate_count t.net
-
-let word t id = t.words.(id)
 
 let words_evaluated t = t.gate_words
 

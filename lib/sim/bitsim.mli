@@ -39,8 +39,6 @@ val lanes : int
 val create : Standby_netlist.Netlist.t -> t
 (** Preallocates the word array and all scratch storage. *)
 
-val netlist : t -> Standby_netlist.Netlist.t
-
 (** {1 Block geometry}
 
     [vectors] total vectors are covered by blocks of {!lanes}; the last
@@ -59,11 +57,6 @@ val lane_mask : lanes:int -> int
 
 (** {1 Loading and evaluating} *)
 
-val set_input_word : t -> int -> int -> unit
-(** [set_input_word t position word] sets the packed word of primary
-    input [position] (declaration order).
-    @raise Invalid_argument on an out-of-range position. *)
-
 val input_word : t -> int -> int
 (** Packed word of primary input [position]. *)
 
@@ -79,10 +72,6 @@ val eval : t -> unit
     current input words.  Bits above the valid lane count of a partial
     block carry garbage; they are masked out at accumulation time, never
     here. *)
-
-val word : t -> int -> int
-(** Packed word of any node id (inputs as loaded, gates after
-    {!eval}). *)
 
 val words_evaluated : t -> int
 (** Cumulative gate words computed by {!eval} over this instance's life

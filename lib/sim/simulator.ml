@@ -132,8 +132,6 @@ module Workspace = struct
       events = 0;
     }
 
-  let value t id = t.values.(id)
-
   let values t = t.values
 
   let events t = t.events

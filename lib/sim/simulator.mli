@@ -9,17 +9,8 @@ val eval : Standby_netlist.Netlist.t -> bool array -> bool array
     array; the scalar oracle {!Bitsim} is validated against.
     @raise Invalid_argument on an input-count mismatch. *)
 
-val eval_gate : bool array -> Standby_netlist.Gate_kind.t -> int array -> bool
-(** [eval_gate values kind fanin] — two-valued value of one gate read
-    straight out of a node-value array.  Allocation-free. *)
-
 val eval_partial : Standby_netlist.Netlist.t -> Logic.trit array -> Logic.trit array
 (** Three-valued counterpart for partial input assignments. *)
-
-val eval_gate_partial :
-  Logic.trit array -> Standby_netlist.Gate_kind.t -> int array -> Logic.trit
-(** [eval_gate_partial values kind fanin] — three-valued value of one
-    gate read straight out of a node-value array.  Allocation-free. *)
 
 (** Event-driven three-valued simulation for branch-and-bound search.
 
@@ -37,9 +28,6 @@ module Workspace : sig
 
   val create : Standby_netlist.Netlist.t -> t
   (** All storage is preallocated; every node starts Unknown. *)
-
-  val value : t -> int -> Logic.trit
-  (** Current value of a node id. *)
 
   val values : t -> Logic.trit array
   (** The live node-value array (do not mutate). *)
@@ -66,13 +54,10 @@ module Workspace : sig
       @raise Invalid_argument if no assumption is open. *)
 end
 
-val gate_state : Standby_netlist.Netlist.t -> bool array -> int -> int
-(** Packed input state of a gate node given all node values
-    (most-significant bit = fanin 0, the {!Standby_netlist.Gate_kind}
-    convention). *)
-
 val gate_states : Standby_netlist.Netlist.t -> bool array -> int array
-(** [gate_state] for every node (0 for primary inputs). *)
+(** Packed input state of every gate node given all node values
+    (most-significant bit = fanin 0, the {!Standby_netlist.Gate_kind}
+    convention); 0 for primary inputs. *)
 
 val output_vector : Standby_netlist.Netlist.t -> bool array -> bool array
 (** Values of the primary outputs for an input vector — used by

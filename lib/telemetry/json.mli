@@ -18,8 +18,6 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering (no newlines — JSONL-safe). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parse one JSON document; trailing garbage (other than whitespace) is
     an error.  Errors carry a byte offset. *)

@@ -19,7 +19,6 @@ type field = string * Json.t
 let str k v = (k, Json.String v)
 let int k v = (k, Json.Int v)
 let float k v = (k, Json.Float v)
-let bool k v = (k, Json.Bool v)
 
 type sink = level -> ts:float -> msg:string -> fields:field list -> unit
 
@@ -79,11 +78,6 @@ let enabled level = severity level <= Atomic.get threshold
 let set_sinks new_sinks =
   Mutex.lock mutex;
   sinks := new_sinks;
-  Mutex.unlock mutex
-
-let add_sink sink =
-  Mutex.lock mutex;
-  sinks := !sinks @ [ sink ];
   Mutex.unlock mutex
 
 let emit level fields msg =

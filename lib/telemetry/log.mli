@@ -25,8 +25,6 @@ val int : string -> int -> field
 
 val float : string -> float -> field
 
-val bool : string -> bool -> field
-
 type sink = level -> ts:float -> msg:string -> fields:field list -> unit
 (** A sink receives every record that passes the threshold.  [ts] is
     wall-clock seconds (for display; budgets use the monotonic clock).
@@ -47,8 +45,6 @@ val get_level : unit -> level
 
 val set_sinks : sink list -> unit
 (** Replace all sinks (the default is [[stderr_sink]]). *)
-
-val add_sink : sink -> unit
 
 val err : ?fields:field list -> ('a, unit, string, unit) format4 -> 'a
 

@@ -63,11 +63,6 @@ let gauge ?(help = "") t name =
 
 let set_gauge g v = Atomic.set g.g_value v
 
-let rec incr_gauge g delta =
-  let current = Atomic.get g.g_value in
-  if not (Atomic.compare_and_set g.g_value current (current +. delta)) then
-    incr_gauge g delta
-
 let gauge_value g = Atomic.get g.g_value
 
 let duration_buckets =
@@ -368,16 +363,3 @@ let write_file t path =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc text;
       if not (Filename.check_suffix path ".prom") then Out_channel.output_char oc '\n')
-
-let reset t =
-  List.iter
-    (function
-      | Counter c -> Atomic.set c.c_value 0
-      | Gauge g -> Atomic.set g.g_value 0.0
-      | Histogram h ->
-        Mutex.lock h.h_mutex;
-        Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-        h.h_sum <- 0.0;
-        h.h_count <- 0;
-        Mutex.unlock h.h_mutex)
-    (instruments t)

@@ -39,25 +39,16 @@ val gauge : ?help:string -> t -> string -> gauge
 
 val set_gauge : gauge -> float -> unit
 
-val incr_gauge : gauge -> float -> unit
-(** Add a (possibly negative) delta. *)
-
-val gauge_value : gauge -> float
-
 (** {2 Histograms} — cumulative fixed-bucket distributions. *)
 
 type histogram
 
 val histogram : ?help:string -> ?buckets:float list -> t -> string -> histogram
 (** [buckets] are the finite upper bounds (strictly increasing; an
-    implicit [+Inf] bucket catches the rest).  Default:
-    {!duration_buckets}.
+    implicit [+Inf] bucket catches the rest).  Default: 1 ms … 120 s,
+    roughly logarithmic — wall times of optimizer runs and batch jobs.
     @raise Invalid_argument on an empty or non-increasing bucket list,
     or a kind clash. *)
-
-val duration_buckets : float list
-(** 1 ms … 120 s, roughly logarithmic — wall times of optimizer runs
-    and batch jobs. *)
 
 val observe : histogram -> float -> unit
 
@@ -127,7 +118,3 @@ val prom_label_value : string -> string
 
 val write_file : t -> string -> unit
 (** JSON by default; a [.prom] suffix selects Prometheus text. *)
-
-val reset : t -> unit
-(** Zero every instrument (counts, sums, gauge values).  Registered
-    instruments survive — for tests. *)

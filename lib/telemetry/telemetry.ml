@@ -32,7 +32,6 @@ let next_id = Atomic.make 1
 let own_pid = Unix.getpid ()
 let role_ref : string option ref = ref None
 let set_role r = role_ref := Some r
-let role () = !role_ref
 
 (* Span stacks and trace contexts are per (domain, thread), not per
    domain: the serving layers handle connections on sibling threads of

@@ -60,8 +60,6 @@ val set_role : string -> unit
 (** Tag every subsequent record with a process role ("client",
     "router", "server", "batch", …).  Call once at startup. *)
 
-val role : unit -> string option
-
 val with_context : context -> (unit -> 'a) -> 'a
 (** [with_context ctx f] runs [f] with [ctx] installed for the calling
     thread: spans opened by [f] (and its callees on the same thread)

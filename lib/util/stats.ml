@@ -22,8 +22,6 @@ let mean t = if t.n = 0 then 0.0 else t.mean
 
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min_value t =
   if t.n = 0 then invalid_arg "Stats.min_value: empty";
   t.min_v
@@ -31,12 +29,6 @@ let min_value t =
 let max_value t =
   if t.n = 0 then invalid_arg "Stats.max_value: empty";
   t.max_v
-
-let summary t =
-  if t.n = 0 then "n=0"
-  else
-    Printf.sprintf "mean=%.4g sd=%.4g min=%.4g max=%.4g n=%d" (mean t) (stddev t) t.min_v t.max_v
-      t.n
 
 let mean_of_array a =
   if Array.length a = 0 then invalid_arg "Stats.mean_of_array: empty";

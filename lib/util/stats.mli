@@ -1,6 +1,6 @@
 (** Running statistics over a stream of floats (Welford's algorithm) and
-    small helpers over float arrays.  Used by the random-vector leakage
-    estimator and by the benchmark harness when summarizing sweeps. *)
+    small helpers over float arrays.  The benchmark harness takes its
+    geometric-mean reduction factors here. *)
 
 type t
 (** Accumulator; mutable. *)
@@ -18,16 +18,11 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two observations. *)
 
-val stddev : t -> float
-
 val min_value : t -> float
 (** Smallest observation.  @raise Invalid_argument when empty. *)
 
 val max_value : t -> float
 (** Largest observation.  @raise Invalid_argument when empty. *)
-
-val summary : t -> string
-(** One-line ["mean=… sd=… min=… max=… n=…"] rendering. *)
 
 val mean_of_array : float array -> float
 (** Mean of a non-empty array.  @raise Invalid_argument when empty. *)

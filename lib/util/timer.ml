@@ -18,8 +18,6 @@ let deadline_at t = t.started_at +. t.limit_s
 
 let earliest a b = if deadline_at a <= deadline_at b then a else b
 
-let remaining_s t = Float.max 0.0 (deadline_at t -. now ())
-
 let time f =
   let t0 = now () in
   let result = f () in

@@ -31,10 +31,6 @@ val earliest : t -> t -> t
 (** The budget whose absolute deadline comes first — used to combine a
     method's own time limit with an externally imposed job deadline. *)
 
-val remaining_s : t -> float
-(** Seconds until expiry ([infinity] for an unlimited budget, never
-    negative). *)
-
 val elapsed_s : t -> float
 (** Seconds since [start]. *)
 

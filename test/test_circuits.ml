@@ -162,46 +162,6 @@ let test_alu64_interface () =
   (* The paper's alu64 row: 131 inputs. *)
   check Alcotest.int "inputs" 131 (Netlist.input_count net)
 
-(* ----------------------------- Sequential ------------------------- *)
-
-module Sequential = Standby_circuits.Sequential
-
-let test_sequential_shape =
-  QCheck.Test.make ~count:15 ~name:"sequential cores are valid with inputs+flops PIs"
-    QCheck.(make Gen.(triple (int_range 0 10_000) (int_range 1 10) (int_range 1 12)))
-    (fun (seed, inputs, flops) ->
-      let net = Sequential.generate ~seed ~inputs ~flops ~gates:60 () in
-      Netlist.input_count net = inputs + flops
-      && Array.length (Netlist.outputs net) >= flops
-      && Result.is_ok (Netlist.validate net))
-
-let test_sequential_bench_has_dffs () =
-  let src = Sequential.bench_source ~seed:4 ~inputs:5 ~flops:3 ~gates:40 () in
-  let dff_lines =
-    String.split_on_char '\n' src
-    |> List.filter (fun l ->
-           let has sub =
-             let nl = String.length sub and hl = String.length l in
-             let rec scan i = i + nl <= hl && (String.sub l i nl = sub || scan (i + 1)) in
-             scan 0
-           in
-           has "DFF(")
-  in
-  check Alcotest.int "one DFF per flop" 3 (List.length dff_lines)
-
-let test_sequential_deterministic () =
-  let a = Sequential.bench_source ~seed:9 ~inputs:4 ~flops:4 ~gates:30 () in
-  let b = Sequential.bench_source ~seed:9 ~inputs:4 ~flops:4 ~gates:30 () in
-  check Alcotest.string "same seed same source" a b
-
-let test_sequential_optimizable () =
-  (* The cut core goes through the whole optimization unchanged. *)
-  let net = Sequential.generate ~seed:13 ~inputs:6 ~flops:5 ~gates:80 () in
-  let lib = Standby_cells.Library.build Standby_device.Process.default in
-  let r = Standby_opt.Optimizer.run lib net ~penalty:0.05 Standby_opt.Optimizer.Heuristic_1 in
-  check Alcotest.bool "positive leakage" true
-    (r.Standby_opt.Optimizer.breakdown.Standby_power.Evaluate.total > 0.0)
-
 (* ----------------------------- Benchmarks ------------------------- *)
 
 let test_profiles_complete () =
@@ -268,13 +228,6 @@ let () =
           quick "c6288 shape" test_multiplier_shape;
         ] );
       ("alu", [ quick "correct" test_alu_correct; quick "alu64 interface" test_alu64_interface ]);
-      ( "sequential",
-        [
-          QCheck_alcotest.to_alcotest test_sequential_shape;
-          quick "dff lines" test_sequential_bench_has_dffs;
-          quick "deterministic" test_sequential_deterministic;
-          quick "optimizable" test_sequential_optimizable;
-        ] );
       ( "benchmarks",
         [
           quick "profiles complete" test_profiles_complete;

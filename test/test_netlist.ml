@@ -61,7 +61,9 @@ let test_state_msb_convention () =
   check Alcotest.bool "i2 of 10" false bits.(1)
 
 let test_of_name () =
-  let kind_t = Alcotest.testable Gate_kind.pp Gate_kind.equal in
+  let kind_t =
+    Alcotest.testable (fun ppf k -> Format.pp_print_string ppf (Gate_kind.name k)) ( = )
+  in
   List.iter
     (fun kind ->
       check (Alcotest.option kind_t) (Gate_kind.name kind) (Some kind)
@@ -159,17 +161,31 @@ let test_histogram () =
 
 (* Evaluate a constructed function against a specification on all input
    combinations. *)
-let check_function ~inputs ~build ~spec name =
-  let b = B.create () in
-  let ids = Array.init inputs (fun _ -> B.add_input b) in
-  let out = build b ids in
-  B.mark_output b out;
-  let net = B.finish b in
+let check_netlist ~inputs ~spec name net =
   for v = 0 to (1 lsl inputs) - 1 do
     let bits = Array.init inputs (fun i -> (v lsr i) land 1 = 1) in
     let result = (Standby_sim.Simulator.output_vector net bits).(0) in
     if result <> spec bits then Alcotest.failf "%s: wrong output for assignment %d" name v
   done
+
+let check_function ~inputs ~build ~spec name =
+  let b = B.create () in
+  let ids = Array.init inputs (fun _ -> B.add_input b) in
+  let out = build b ids in
+  B.mark_output b out;
+  check_netlist ~inputs ~spec name (B.finish b)
+
+(* A function only the elaborator's table lowers, checked the same way:
+   [y = func(i0, ..., i<k-1>)]. *)
+let check_lowered ~inputs func ~spec name =
+  let args = List.init inputs (Printf.sprintf "i%d") in
+  match
+    Logic_build.elaborate ~name (fun define ->
+        define "y" func args;
+        (args, [ "y" ]))
+  with
+  | Ok net -> check_netlist ~inputs ~spec name net
+  | Error msg -> Alcotest.failf "%s: %s" name msg
 
 let test_wide_nand () =
   List.iter
@@ -183,8 +199,7 @@ let test_wide_nand () =
 let test_wide_nor () =
   List.iter
     (fun k ->
-      check_function ~inputs:k
-        ~build:(fun b ids -> Logic_build.nor_of b (Array.to_list ids))
+      check_lowered ~inputs:k Logic_build.Nor
         ~spec:(fun bits -> not (Array.exists (fun x -> x) bits))
         (Printf.sprintf "nor%d" k))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
@@ -204,12 +219,10 @@ let test_xor_xnor () =
     ~build:(fun b ids -> Logic_build.xor2 b ids.(0) ids.(1))
     ~spec:(fun bits -> bits.(0) <> bits.(1))
     "xor2";
-  check_function ~inputs:2
-    ~build:(fun b ids -> Logic_build.xnor2 b ids.(0) ids.(1))
+  check_lowered ~inputs:2 Logic_build.Xnor
     ~spec:(fun bits -> bits.(0) = bits.(1))
     "xnor2";
-  check_function ~inputs:4
-    ~build:(fun b ids -> Logic_build.xor_of b (Array.to_list ids))
+  check_lowered ~inputs:4 Logic_build.Xor
     ~spec:(fun bits -> Array.fold_left (fun acc x -> acc <> x) false bits)
     "xor4"
 
@@ -384,7 +397,44 @@ let test_bench_dff_cut () =
   | Ok net ->
     (* The flop output s becomes an input; its data n becomes an output. *)
     check Alcotest.int "inputs" 2 (Netlist.input_count net);
-    check Alcotest.int "outputs" 2 (Array.length (Netlist.outputs net))
+    check Alcotest.int "outputs" 2 (Array.length (Netlist.outputs net));
+    check
+      Alcotest.(array string)
+      "output names" [| "q"; "n" |]
+      (Array.map (Netlist.name_of net) (Netlist.outputs net))
+
+(* A cut sequential core takes the whole flow: heu1 chooses the sleep
+   vector over the real inputs and the flop outputs together, and a
+   from-scratch STA of its answer meets the budget. *)
+let test_bench_dff_optimizes () =
+  let src =
+    "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\nq0 = DFF(d0)\nq1 = DFF(d1)\n\
+     q2 = DFF(d2)\nd0 = NAND(a, q1, q2)\nd1 = NOR(b, q0)\nd2 = XOR(c, d0)\n\
+     t = AND(d0, d1, q2)\ny = OR(t, q0, a)\nz = NAND(d2, q1)\n"
+  in
+  match Bench_io.of_string src with
+  | Error msg -> Alcotest.failf "parse failed: %s" msg
+  | Ok net ->
+    let module Optimizer = Standby_opt.Optimizer in
+    let module Sta = Standby_timing.Sta in
+    let module Version = Standby_cells.Version in
+    let lib = Standby_cells.Library.build Standby_device.Process.default in
+    let heu1 =
+      match Optimizer.method_of_token "heu1" Optimizer.default_params with
+      | Ok m -> m
+      | Error msg -> Alcotest.fail msg
+    in
+    let r = Optimizer.run lib net ~penalty:0.05 heu1 in
+    let a = r.Optimizer.assignment in
+    check Alcotest.int "sleep vector covers inputs and flops" 6
+      (Array.length a.Standby_power.Assignment.input_vector);
+    let sta = Sta.create lib net in
+    Sta.set_budget sta r.Optimizer.budget;
+    Netlist.iter_gates net (fun id _ _ ->
+        let o = Standby_power.Assignment.choice lib net a id in
+        Sta.assign sta id ~version:o.Version.version ~perm:o.Version.perm);
+    Sta.update sta;
+    check Alcotest.bool "full STA meets the budget" true (Sta.meets_budget sta)
 
 let test_bench_errors () =
   let check_err src =
@@ -739,6 +789,40 @@ let test_input_and_driven_refused () =
   refused ".bench" (Bench_io.of_string bench);
   refused "verilog" (Verilog_io.of_string verilog)
 
+(* An output driven by a decomposed function (AND lowers to NAND + INV,
+   XOR to four NANDs) keeps its declared name through both readers and
+   both writers, as one that lowers to a single named cell does. *)
+let test_output_names () =
+  List.iter
+    (fun (func, bench_args, prim, verilog_args) ->
+      let bench =
+        Printf.sprintf "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = %s(%s)\n" func bench_args
+      in
+      let verilog =
+        Printf.sprintf
+          "module m (a, b, y);\n  input a, b;\n  output y;\n  %s (y, %s);\nendmodule\n" prim
+          verilog_args
+      in
+      let named reader = function
+        | Error msg -> Alcotest.failf "%s %s: %s" func reader msg
+        | Ok net ->
+          let outputs net = Array.map (Netlist.name_of net) (Netlist.outputs net) in
+          check Alcotest.(array string) (func ^ " " ^ reader) [| "y" |] (outputs net);
+          (match Bench_io.of_string (Bench_io.to_string net) with
+           | Ok again ->
+             check Alcotest.(array string) (func ^ " " ^ reader ^ " via .bench") [| "y" |]
+               (outputs again)
+           | Error msg -> Alcotest.fail msg);
+          (match Verilog_io.of_string (Verilog_io.to_string net) with
+           | Ok again ->
+             check Alcotest.(array string) (func ^ " " ^ reader ^ " via verilog") [| "y" |]
+               (outputs again)
+           | Error msg -> Alcotest.fail msg)
+      in
+      named ".bench" (Bench_io.of_string bench);
+      named "verilog" (Verilog_io.of_string verilog))
+    [ ("AND", "a, b", "and", "a, b"); ("XOR", "a, b", "xor", "a, b"); ("BUFF", "a", "buf", "a") ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "standby_netlist"
@@ -782,6 +866,7 @@ let () =
           QCheck_alcotest.to_alcotest test_bench_roundtrip_exhaustive;
           quick "500k-gate round trip" test_bench_large_roundtrip;
           quick "dff cut" test_bench_dff_cut;
+          quick "dff core optimizes" test_bench_dff_optimizes;
           quick "errors" test_bench_errors;
           quick "comments and blanks" test_bench_comments_and_blank_lines;
         ] );
@@ -809,5 +894,6 @@ let () =
           quick "c17 cross-format" test_c17_cross_format;
           QCheck_alcotest.to_alcotest test_cross_format_roundtrip;
           quick "input and driven refused" test_input_and_driven_refused;
+          quick "output names" test_output_names;
         ] );
     ]

@@ -229,32 +229,6 @@ let test_hill_climb_method_name () =
   in
   check Alcotest.string "name" "heu1+hc" hc.Optimizer.method_name
 
-let test_reduction_factor () =
-  let net = small 2 in
-  let r = Optimizer.run lib net ~penalty:0.05 Optimizer.Heuristic_1 in
-  let x = Optimizer.reduction_factor ~reference:(2.0 *. total r) r in
-  check (Alcotest.float 1e-9) "factor" 2.0 x
-
-let test_sweep_and_pareto () =
-  let net = medium 23 in
-  let points =
-    Optimizer.sweep lib net ~penalties:[ 0.0; 0.05; 0.25 ] Optimizer.Heuristic_1
-  in
-  check Alcotest.int "three points" 3 (List.length points);
-  List.iter
-    (fun (penalty, (r : Optimizer.result)) ->
-      check (Alcotest.float 1e-12) "penalty recorded" penalty r.Optimizer.penalty)
-    points;
-  let front = Optimizer.pareto_front points in
-  check Alcotest.bool "front non-empty" true (List.length front >= 1);
-  (* strictly improving leakage along the front *)
-  let rec strictly_decreasing = function
-    | (_, a) :: ((_, b) :: _ as rest) ->
-      total a > total b && strictly_decreasing rest
-    | _ -> true
-  in
-  check Alcotest.bool "front monotone" true (strictly_decreasing front)
-
 (* ----------------------------- State tree -------------------------- *)
 
 let test_state_tree_config_variants () =
@@ -632,10 +606,7 @@ let () =
           quick "heu2 explores more" test_heu2_explores_more;
           QCheck_alcotest.to_alcotest test_hill_climb_not_worse;
           quick "hill climb method name" test_hill_climb_method_name;
-          quick "reduction factor" test_reduction_factor;
         ] );
-      ( "sweep",
-        [ quick "sweep and pareto" test_sweep_and_pareto ] );
       ( "state-tree",
         [
           quick "config variants" test_state_tree_config_variants;

@@ -211,55 +211,6 @@ let test_direct_matches_optimized () =
   check Alcotest.bool "isub" true (close tabled.Evaluate.isub direct.Evaluate.isub);
   check Alcotest.bool "igate" true (close tabled.Evaluate.igate direct.Evaluate.igate)
 
-(* ------------------------------ Variation ------------------------- *)
-
-module Variation = Standby_power.Variation
-
-let variation_setup () =
-  let net = random_circuit 21 in
-  let a = Assignment.all_fast lib net (Array.make 8 false) in
-  (net, a)
-
-let test_variation_deterministic () =
-  let net, a = variation_setup () in
-  let s1 = Variation.monte_carlo ~samples:300 ~seed:5 lib net a in
-  let s2 = Variation.monte_carlo ~samples:300 ~seed:5 lib net a in
-  check (Alcotest.float 1e-15) "same seed same mean" s1.Variation.mean s2.Variation.mean;
-  check (Alcotest.float 1e-15) "same seed same p95" s1.Variation.p95 s2.Variation.p95
-
-let test_variation_zero_sigma () =
-  let net, a = variation_setup () in
-  let s = Variation.monte_carlo ~samples:50 ~sigma_vt:0.0 ~seed:5 lib net a in
-  check (Alcotest.float 1e-12) "no variation -> nominal mean" s.Variation.nominal
-    s.Variation.mean;
-  check (Alcotest.float 1e-12) "no variation -> nominal p95" s.Variation.nominal
-    s.Variation.p95
-
-let test_variation_ordering () =
-  let net, a = variation_setup () in
-  let s = Variation.monte_carlo ~samples:1000 ~seed:7 lib net a in
-  check Alcotest.bool "mean above nominal (lognormal)" true
-    (s.Variation.mean > s.Variation.nominal);
-  check Alcotest.bool "p95 above mean" true (s.Variation.p95 > s.Variation.mean);
-  check Alcotest.bool "worst above p95" true (s.Variation.worst >= s.Variation.p95);
-  check Alcotest.bool "std positive" true (s.Variation.std_dev > 0.0)
-
-let test_variation_sigma_monotone () =
-  let net, a = variation_setup () in
-  let narrow = Variation.monte_carlo ~samples:500 ~sigma_vt:0.010 ~seed:9 lib net a in
-  let wide = Variation.monte_carlo ~samples:500 ~sigma_vt:0.040 ~seed:9 lib net a in
-  check Alcotest.bool "wider sigma, wider spread" true
-    (wide.Variation.std_dev > narrow.Variation.std_dev)
-
-let test_variation_invalid () =
-  let net, a = variation_setup () in
-  Alcotest.check_raises "no samples"
-    (Invalid_argument "Variation.monte_carlo: need at least one sample") (fun () ->
-      ignore (Variation.monte_carlo ~samples:0 ~seed:1 lib net a));
-  Alcotest.check_raises "negative sigma"
-    (Invalid_argument "Variation.monte_carlo: negative sigma") (fun () ->
-      ignore (Variation.monte_carlo ~sigma_vt:(-0.1) ~seed:1 lib net a))
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "standby_power"
@@ -296,13 +247,5 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_direct_matches_tables;
           quick "optimized solution" test_direct_matches_optimized;
-        ] );
-      ( "variation",
-        [
-          quick "deterministic" test_variation_deterministic;
-          quick "zero sigma" test_variation_zero_sigma;
-          quick "ordering" test_variation_ordering;
-          quick "sigma monotone" test_variation_sigma_monotone;
-          quick "invalid args" test_variation_invalid;
         ] );
     ]

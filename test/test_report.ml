@@ -86,9 +86,12 @@ let tiny_config =
 
 let context = lazy (Experiments.create ~config:tiny_config ())
 
-let smoke name render expected_fragments () =
+(* Every artifact is rendered through the table behind [standbyopt report]. *)
+let render name t = List.assoc name Experiments.artifacts t
+
+let smoke name expected_fragments () =
   let t = Lazy.force context in
-  let out = render t in
+  let out = render name t in
   check Alcotest.bool (name ^ " non-empty") true (String.length out > 50);
   List.iter
     (fun fragment ->
@@ -96,39 +99,41 @@ let smoke name render expected_fragments () =
         Alcotest.failf "%s: missing fragment %S in:\n%s" name fragment out)
     expected_fragments
 
-let test_table1 = smoke "table1" Experiments.table1 [ "NAND2"; "min leakage"; "State" ]
+let test_table1 = smoke "table1" [ "NAND2"; "min leakage"; "State" ]
 
-let test_table2 = smoke "table2" Experiments.table2 [ "INV"; "NOR3"; "TOTAL" ]
+let test_table2 = smoke "table2" [ "INV"; "NOR3"; "TOTAL" ]
 
-let test_table3 = smoke "table3" Experiments.table3 [ "c432"; "AVG"; "Heu1 5%" ]
+let test_table3 = smoke "table3" [ "c432"; "AVG"; "Heu1 5%" ]
 
-let test_table4 = smoke "table4" Experiments.table4 [ "c432"; "Vt+St 5%"; "State" ]
+let test_table4 = smoke "table4" [ "c432"; "Vt+St 5%"; "State" ]
 
-let test_table5 = smoke "table5" Experiments.table5 [ "c432"; "uniform" ]
+let test_table5 = smoke "table5" [ "c432"; "uniform" ]
 
-let test_figure1 = smoke "figure1" Experiments.figure1 [ "NMOS"; "PMOS"; "Igate" ]
+let test_figure1 = smoke "figure1" [ "NMOS"; "PMOS"; "Igate" ]
 
-let test_figure2 = smoke "figure2" Experiments.figure2 [ "NOR2"; "NAND2"; "Perm" ]
+let test_figure2 = smoke "figure2" [ "NOR2"; "NAND2"; "Perm" ]
 
-let test_figure3 = smoke "figure3" Experiments.figure3 [ "v0"; "fast"; "min leakage" ]
+let test_figure3 = smoke "figure3" [ "v0"; "fast"; "min leakage" ]
 
-let test_figure4 = smoke "figure4" Experiments.figure4 [ "exact"; "heu1"; "heu2" ]
+let test_figure4 = smoke "figure4" [ "exact"; "heu1"; "heu2" ]
 
 let test_figure5 () =
   let t = Lazy.force context in
-  let path = Filename.temp_file "standby_fig5" ".csv" in
-  let out = Experiments.figure5 ~csv_path:path t in
+  let dir = Filename.temp_dir "standby_fig5" "" in
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  let out = Fun.protect ~finally:(fun () -> Sys.chdir cwd) (fun () -> render "figure5" t) in
   check Alcotest.bool "rendered" true (String.length out > 50);
-  let ic = open_in path in
-  let content = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let path = Filename.concat dir "figure5.csv" in
+  let content = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
+  Sys.rmdir dir;
   check Alcotest.bool "csv header" true (contains content "penalty,heu1_uA");
   (* ten sweep points + header *)
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' content) in
   check Alcotest.int "csv rows" 11 (List.length lines)
 
-let test_ablation = smoke "ablation" Experiments.ablation [ "baseline heu1"; "pin reordering" ]
+let test_ablation = smoke "ablation" [ "baseline heu1"; "pin reordering" ]
 
 let test_context_accessors () =
   let t = Lazy.force context in
