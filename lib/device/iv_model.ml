@@ -27,7 +27,3 @@ let drain_current p ~polarity ~vt ~tox ~width ~vgs ~vds =
       Leakage_model.subthreshold p ~polarity ~vt ~width ~vgs:(min vgs vt_v) ~vds
     in
     sub +. on_component p ~polarity ~vt ~tox ~width ~vgs ~vds
-
-let on_current (p : Process.t) ~polarity ~width =
-  drain_current p ~polarity ~vt:Process.Low_vt ~tox:Process.Thin_ox ~width
-    ~vgs:p.vdd ~vds:p.vdd

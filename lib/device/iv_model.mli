@@ -25,7 +25,3 @@ val drain_current :
     magnitudes ([vds >= 0]; returns 0 otherwise).  PMOS devices use
     magnitude conventions like {!Leakage_model}.  Thick oxide reduces the
     on-current through its lower gate capacitance. *)
-
-val on_current : Process.t -> polarity:Process.polarity -> width:float -> float
-(** Saturated on-current of a fast device at full bias — an upper bound
-    used to bracket the solver's current bisection. *)

@@ -79,25 +79,29 @@ let packed_average ~vectors ~jobs ~seed net (leak, sub, gat) =
   let block_isub = Array.make n_blocks 0.0 in
   let block_igate = Array.make n_blocks 0.0 in
   let run_range bsim lo hi =
+    (* One block's (total, isub, igate) sums, accumulated in a float
+       array so the visitor below updates them unboxed. *)
+    let acc = Array.make 3 0.0 in
+    let visit id _ counts =
+      let l = leak.(id) and s = sub.(id) and g = gat.(id) in
+      for st = 0 to Array.length l - 1 do
+        let c = counts.(st) in
+        if c <> 0 then begin
+          let fc = float_of_int c in
+          acc.(0) <- acc.(0) +. (fc *. l.(st));
+          acc.(1) <- acc.(1) +. (fc *. s.(st));
+          acc.(2) <- acc.(2) +. (fc *. g.(st))
+        end
+      done
+    in
     for b = lo to hi - 1 do
       Bitsim.load_block bsim ~seed ~block:b;
       Bitsim.eval bsim;
-      let valid = Bitsim.lanes_in_block ~vectors ~block:b in
-      let tl = ref 0.0 and ts = ref 0.0 and tg = ref 0.0 in
-      Bitsim.iter_state_counts bsim ~lanes:valid (fun id _ counts ->
-          let l = leak.(id) and s = sub.(id) and g = gat.(id) in
-          for st = 0 to Array.length l - 1 do
-            let c = counts.(st) in
-            if c <> 0 then begin
-              let fc = float_of_int c in
-              tl := !tl +. (fc *. l.(st));
-              ts := !ts +. (fc *. s.(st));
-              tg := !tg +. (fc *. g.(st))
-            end
-          done);
-      block_total.(b) <- !tl;
-      block_isub.(b) <- !ts;
-      block_igate.(b) <- !tg
+      Array.fill acc 0 3 0.0;
+      Bitsim.iter_state_counts bsim ~lanes:(Bitsim.lanes_in_block ~vectors ~block:b) visit;
+      block_total.(b) <- acc.(0);
+      block_isub.(b) <- acc.(1);
+      block_igate.(b) <- acc.(2)
     done
   in
   let jobs = max 1 (min jobs n_blocks) in

@@ -38,27 +38,31 @@ let eval net input_values =
    constant constructors, so nothing here touches the heap). *)
 let nand_over (values : Logic.trit array) (fanin : int array) =
   let n = Array.length fanin in
-  let rec go i all_true =
-    if i = n then if all_true then Logic.False else Logic.Unknown
-    else
-      match values.(fanin.(i)) with
-      | Logic.False -> Logic.True
-      | Logic.True -> go (i + 1) all_true
-      | Logic.Unknown -> go (i + 1) false
-  in
-  go 0 true
+  let out = ref Logic.False and i = ref 0 in
+  while !i < n do
+    (match values.(fanin.(!i)) with
+     | Logic.False ->
+       out := Logic.True;
+       i := n
+     | Logic.True -> ()
+     | Logic.Unknown -> out := Logic.Unknown);
+    incr i
+  done;
+  !out
 
 let nor_over (values : Logic.trit array) (fanin : int array) =
   let n = Array.length fanin in
-  let rec go i all_false =
-    if i = n then if all_false then Logic.True else Logic.Unknown
-    else
-      match values.(fanin.(i)) with
-      | Logic.True -> Logic.False
-      | Logic.False -> go (i + 1) all_false
-      | Logic.Unknown -> go (i + 1) false
-  in
-  go 0 true
+  let out = ref Logic.True and i = ref 0 in
+  while !i < n do
+    (match values.(fanin.(!i)) with
+     | Logic.True ->
+       out := Logic.False;
+       i := n
+     | Logic.False -> ()
+     | Logic.Unknown -> out := Logic.Unknown);
+    incr i
+  done;
+  !out
 
 let and2 a b =
   match (a, b) with
@@ -157,6 +161,12 @@ module Workspace = struct
     t.trail.(t.trail_len) <- id;
     t.trail_len <- t.trail_len + 1
 
+  let enqueue_fanout t id =
+    let fanout = Netlist.fanout t.net id in
+    for i = 0 to Array.length fanout - 1 do
+      enqueue t fanout.(i)
+    done
+
   let default_touch = fun (_ : int) -> ()
 
   (* Propagate the recorded value changes through the affected cone:
@@ -176,7 +186,7 @@ module Workspace = struct
            if Logic.is_known v then begin
              t.values.(id) <- v;
              record t id;
-             Array.iter (fun g -> enqueue t g) (Netlist.fanout t.net id)
+             enqueue_fanout t id
            end
          end);
       on_touch id
@@ -194,7 +204,7 @@ module Workspace = struct
     t.marks_len <- t.marks_len + 1;
     t.values.(id) <- v;
     record t id;
-    Array.iter (fun g -> enqueue t g) (Netlist.fanout t.net id);
+    enqueue_fanout t id;
     propagate ?on_touch t
 
   let retract ?(on_touch = default_touch) t =
@@ -209,8 +219,10 @@ module Workspace = struct
     done;
     if on_touch != default_touch then
       for i = mark to t.trail_len - 1 do
-        let id = t.trail.(i) in
-        Array.iter (fun g -> on_touch g) (Netlist.fanout t.net id)
+        let fanout = Netlist.fanout t.net t.trail.(i) in
+        for k = 0 to Array.length fanout - 1 do
+          on_touch fanout.(k)
+        done
       done;
     t.trail_len <- mark
 end

@@ -40,6 +40,16 @@ type t = {
   perm : int array array;
   base : float array;
   base_slew : float array;
+  (* Per-node data the kernels read on every pop, resolved once: the
+     netlist's own fan-in arrays (fan-in [||] marks a primary input;
+     every cell has at least one), each node's fan-out edges (see
+     [edge]), and each gate's rise/fall factor rows for its current
+     version, refreshed by [assign] and [reset_fast].  A pop does no
+     netlist match and no library lookup. *)
+  fanin : int array array;
+  sinks : int array array;
+  rise_row : float array array;
+  fall_row : float array array;
   arr_rise : float array;
   arr_fall : float array;
   slew_rise : float array;
@@ -72,72 +82,94 @@ let netlist t = t.net
 
 let identity_perm arity = Array.init arity (fun i -> i)
 
-(* Pin-to-output delays for the current assignment: the version factor
-   derates the drive, and the input transition time adds the
-   slew-sensitivity term of the two-axis delay tables. *)
-let gate_delays t id kind fanin_pin src =
-  let info = Library.info t.lib kind in
-  let v = t.version.(id) in
-  let phys = t.perm.(id).(fanin_pin) in
-  let d_rise =
-    (t.base.(id) *. info.Library.rise_factors.(v).(phys))
-    +. (Delay_model.slew_sensitivity *. t.slew_fall.(src))
-  in
-  let d_fall =
-    (t.base.(id) *. info.Library.fall_factors.(v).(phys))
-    +. (Delay_model.slew_sensitivity *. t.slew_rise.(src))
-  in
-  (d_rise, d_fall)
+(* A fan-out edge packs the consumer gate and the pin it is read on into
+   one int (no cell has more than four pins).  [sinks.(src)] lists them
+   in the netlist's fan-out order, pins ascending within a consumer, so
+   a node's required time is one pass over its edges instead of a scan
+   of every consumer's fan-in, visiting the constraints in the order
+   that scan did. *)
+let pin_bits = 2
 
-let recompute_arrival t id kind fanin =
-  let info = Library.info t.lib kind in
-  let v = t.version.(id) in
+let edge c pin = (c lsl pin_bits) lor pin
+
+let edge_node e = e lsr pin_bits
+
+let edge_pin e = e land ((1 lsl pin_bits) - 1)
+
+(* The kernels below are plain loops over preresolved arrays: no
+   closure, no tuple and no float ref escapes, so the worklist path
+   allocates nothing.  Every pin-to-output delay is
+   [base *. factor +. slew_sensitivity *. input_slew] — the version
+   factor derates the drive and the input transition time adds the
+   slew term of the two-axis delay tables — evaluated in that order
+   everywhere: the kernels agree bit for bit with each other and with
+   the answers test_opt pins. *)
+
+(* [Stdlib.min] and [Stdlib.max] on floats, without their polymorphic
+   compare. *)
+let fmin (a : float) b = if a <= b then a else b
+
+let fmax (a : float) b = if a >= b then a else b
+
+let recompute_arrival t id =
+  let fanin = t.fanin.(id) and perm = t.perm.(id) in
+  let rise_row = t.rise_row.(id) and fall_row = t.fall_row.(id) in
+  let base = t.base.(id) in
   let rise = ref 0.0 and fall = ref 0.0 in
   let rise_pin = ref 0 and fall_pin = ref 0 in
-  Array.iteri
-    (fun pin src ->
-      let d_rise, d_fall = gate_delays t id kind pin src in
-      if t.arr_fall.(src) +. d_rise > !rise then begin
-        rise := t.arr_fall.(src) +. d_rise;
-        rise_pin := pin
-      end;
-      if t.arr_rise.(src) +. d_fall > !fall then begin
-        fall := t.arr_rise.(src) +. d_fall;
-        fall_pin := pin
-      end)
-    fanin;
+  for pin = 0 to Array.length fanin - 1 do
+    let src = fanin.(pin) and phys = perm.(pin) in
+    let d_rise =
+      (base *. rise_row.(phys)) +. (Delay_model.slew_sensitivity *. t.slew_fall.(src))
+    in
+    let d_fall =
+      (base *. fall_row.(phys)) +. (Delay_model.slew_sensitivity *. t.slew_rise.(src))
+    in
+    if t.arr_fall.(src) +. d_rise > !rise then begin
+      rise := t.arr_fall.(src) +. d_rise;
+      rise_pin := pin
+    end;
+    if t.arr_rise.(src) +. d_fall > !fall then begin
+      fall := t.arr_rise.(src) +. d_fall;
+      fall_pin := pin
+    end
+  done;
   t.arr_rise.(id) <- !rise;
   t.arr_fall.(id) <- !fall;
   (* The output transition is set by the critical pin's drive. *)
-  t.slew_rise.(id) <- t.base_slew.(id) *. info.Library.rise_factors.(v).(t.perm.(id).(!rise_pin));
-  t.slew_fall.(id) <- t.base_slew.(id) *. info.Library.fall_factors.(v).(t.perm.(id).(!fall_pin))
+  t.slew_rise.(id) <- t.base_slew.(id) *. rise_row.(perm.(!rise_pin));
+  t.slew_fall.(id) <- t.base_slew.(id) *. fall_row.(perm.(!fall_pin))
 
 let forward t =
+  let inputs = Netlist.inputs t.net in
   (match t.boundary with
    | None ->
-     Array.iter
-       (fun id ->
-         t.arr_rise.(id) <- 0.0;
-         t.arr_fall.(id) <- 0.0;
-         t.slew_rise.(id) <- Delay_model.primary_input_slew;
-         t.slew_fall.(id) <- Delay_model.primary_input_slew)
-       (Netlist.inputs t.net)
+     for i = 0 to Array.length inputs - 1 do
+       let id = inputs.(i) in
+       t.arr_rise.(id) <- 0.0;
+       t.arr_fall.(id) <- 0.0;
+       t.slew_rise.(id) <- Delay_model.primary_input_slew;
+       t.slew_fall.(id) <- Delay_model.primary_input_slew
+     done
    | Some b ->
-     Array.iter
-       (fun id ->
-         t.arr_rise.(id) <- b.b_arr_rise.(id);
-         t.arr_fall.(id) <- b.b_arr_fall.(id);
-         t.slew_rise.(id) <- b.b_slew_rise.(id);
-         t.slew_fall.(id) <- b.b_slew_fall.(id))
-       (Netlist.inputs t.net));
-  Netlist.iter_gates t.net (fun id kind fanin -> recompute_arrival t id kind fanin)
+     for i = 0 to Array.length inputs - 1 do
+       let id = inputs.(i) in
+       t.arr_rise.(id) <- b.b_arr_rise.(id);
+       t.arr_fall.(id) <- b.b_arr_fall.(id);
+       t.slew_rise.(id) <- b.b_slew_rise.(id);
+       t.slew_fall.(id) <- b.b_slew_fall.(id)
+     done);
+  for id = 0 to Array.length t.fanin - 1 do
+    if Array.length t.fanin.(id) > 0 then recompute_arrival t id
+  done
 
-(* Effective required time of a primary output: the delay budget, capped
-   by the frozen downstream demand when a boundary is installed. *)
-let output_required t id =
-  match t.boundary with
-  | None -> (t.budget, t.budget)
-  | Some b -> (min t.budget b.b_req_rise.(id), min t.budget b.b_req_fall.(id))
+(* Effective required times of a primary output: the delay budget,
+   capped by the frozen downstream demand when a boundary is installed. *)
+let output_required_rise t id =
+  match t.boundary with None -> t.budget | Some b -> fmin t.budget b.b_req_rise.(id)
+
+let output_required_fall t id =
+  match t.boundary with None -> t.budget | Some b -> fmin t.budget b.b_req_fall.(id)
 
 (* Refresh one output's late flag and the late count.  [backward] runs
    it for every output (every full update, budget change and [create]
@@ -145,8 +177,10 @@ let output_required t id =
    each output it re-times; no other write moves an output's arrival or
    required time. *)
 let mark_late t o =
-  let rr, rf = output_required t o in
-  let late = t.arr_rise.(o) > rr +. epsilon || t.arr_fall.(o) > rf +. epsilon in
+  let late =
+    t.arr_rise.(o) > output_required_rise t o +. epsilon
+    || t.arr_fall.(o) > output_required_fall t o +. epsilon
+  in
   if late <> t.late.(o) then begin
     t.late.(o) <- late;
     t.late_count <- (if late then t.late_count + 1 else t.late_count - 1)
@@ -156,26 +190,30 @@ let backward t =
   let n = Netlist.node_count t.net in
   Array.fill t.req_rise 0 n infinity;
   Array.fill t.req_fall 0 n infinity;
-  Array.iter
-    (fun o ->
-      let rr, rf = output_required t o in
-      t.req_rise.(o) <- min t.req_rise.(o) rr;
-      t.req_fall.(o) <- min t.req_fall.(o) rf;
-      mark_late t o)
-    (Netlist.outputs t.net);
+  let outputs = Netlist.outputs t.net in
+  for i = 0 to Array.length outputs - 1 do
+    let o = outputs.(i) in
+    t.req_rise.(o) <- fmin t.req_rise.(o) (output_required_rise t o);
+    t.req_fall.(o) <- fmin t.req_fall.(o) (output_required_fall t o);
+    mark_late t o
+  done;
   for id = n - 1 downto 0 do
-    match Netlist.node t.net id with
-    | Netlist.Primary_input -> ()
-    | Netlist.Cell { fanin; _ } ->
-      let kind = match Netlist.kind_of t.net id with Some k -> k | None -> assert false in
-      Array.iteri
-        (fun pin src ->
-          let d_rise, d_fall = gate_delays t id kind pin src in
-          if t.req_rise.(id) -. d_rise < t.req_fall.(src) then
-            t.req_fall.(src) <- t.req_rise.(id) -. d_rise;
-          if t.req_fall.(id) -. d_fall < t.req_rise.(src) then
-            t.req_rise.(src) <- t.req_fall.(id) -. d_fall)
-        fanin
+    let fanin = t.fanin.(id) and perm = t.perm.(id) in
+    let rise_row = t.rise_row.(id) and fall_row = t.fall_row.(id) in
+    let base = t.base.(id) in
+    for pin = 0 to Array.length fanin - 1 do
+      let src = fanin.(pin) and phys = perm.(pin) in
+      let d_rise =
+        (base *. rise_row.(phys)) +. (Delay_model.slew_sensitivity *. t.slew_fall.(src))
+      in
+      let d_fall =
+        (base *. fall_row.(phys)) +. (Delay_model.slew_sensitivity *. t.slew_rise.(src))
+      in
+      if t.req_rise.(id) -. d_rise < t.req_fall.(src) then
+        t.req_fall.(src) <- t.req_rise.(id) -. d_rise;
+      if t.req_fall.(id) -. d_fall < t.req_rise.(src) then
+        t.req_rise.(src) <- t.req_fall.(id) -. d_fall
+    done
   done
 
 let flush_counters t =
@@ -199,26 +237,34 @@ let update t =
 let recompute_required t id =
   let rr = ref infinity and rf = ref infinity in
   if t.is_out.(id) then begin
-    let orr, orf = output_required t id in
-    rr := orr;
-    rf := orf
+    rr := output_required_rise t id;
+    rf := output_required_fall t id
   end;
-  Array.iter
-    (fun c ->
-      match Netlist.node t.net c with
-      | Netlist.Primary_input -> assert false
-      | Netlist.Cell { kind; fanin } ->
-        Array.iteri
-          (fun pin src ->
-            if src = id then begin
-              let d_rise, d_fall = gate_delays t c kind pin src in
-              if t.req_rise.(c) -. d_rise < !rf then rf := t.req_rise.(c) -. d_rise;
-              if t.req_fall.(c) -. d_fall < !rr then rr := t.req_fall.(c) -. d_fall
-            end)
-          fanin)
-    (Netlist.fanout t.net id);
+  let sinks = t.sinks.(id) in
+  for k = 0 to Array.length sinks - 1 do
+    let c = edge_node sinks.(k) in
+    let phys = t.perm.(c).(edge_pin sinks.(k)) and base = t.base.(c) in
+    let d_rise =
+      (base *. t.rise_row.(c).(phys)) +. (Delay_model.slew_sensitivity *. t.slew_fall.(id))
+    in
+    let d_fall =
+      (base *. t.fall_row.(c).(phys)) +. (Delay_model.slew_sensitivity *. t.slew_rise.(id))
+    in
+    if t.req_rise.(c) -. d_rise < !rf then rf := t.req_rise.(c) -. d_rise;
+    if t.req_fall.(c) -. d_fall < !rr then rr := t.req_fall.(c) -. d_fall
+  done;
   t.req_rise.(id) <- !rr;
   t.req_fall.(id) <- !rf
+
+let push_all heap ids =
+  for i = 0 to Array.length ids - 1 do
+    Int_heap.push heap ids.(i)
+  done
+
+let push_consumers heap sinks =
+  for k = 0 to Array.length sinks - 1 do
+    Int_heap.push heap (edge_node sinks.(k))
+  done
 
 let update_from t start =
   let pops = ref 0 in
@@ -229,15 +275,14 @@ let update_from t start =
   while not (Int_heap.is_empty t.fheap) do
     let id = Int_heap.pop t.fheap in
     incr pops;
-    match Netlist.node t.net id with
-    | Netlist.Primary_input ->
+    if Array.length t.fanin.(id) = 0 then
       (* Only reachable when [start] itself is an input: its arrival is
          fixed, but its cone must still be rechecked. *)
-      Array.iter (fun g -> Int_heap.push t.fheap g) (Netlist.fanout t.net id)
-    | Netlist.Cell { kind; fanin } ->
+      push_consumers t.fheap t.sinks.(id)
+    else begin
       let old_rise = t.arr_rise.(id) and old_fall = t.arr_fall.(id) in
       let old_srise = t.slew_rise.(id) and old_sfall = t.slew_fall.(id) in
-      recompute_arrival t id kind fanin;
+      recompute_arrival t id;
       if t.is_out.(id) then mark_late t id;
       if
         id = start
@@ -247,14 +292,13 @@ let update_from t start =
         || abs_float (t.slew_fall.(id) -. old_sfall) > epsilon
       then begin
         Int_heap.push t.bheap id;
-        Array.iter (fun g -> Int_heap.push t.fheap g) (Netlist.fanout t.net id)
+        push_consumers t.fheap t.sinks.(id)
       end
+    end
   done;
   (* The assignment changed [start]'s pin delays, so its fanins'
      required times can move even when no arrival does. *)
-  (match Netlist.node t.net start with
-   | Netlist.Primary_input -> ()
-   | Netlist.Cell { fanin; _ } -> Array.iter (fun s -> Int_heap.push t.bheap s) fanin);
+  push_all t.bheap t.fanin.(start);
   (* Backward: descending pops settle every consumer before its
      producers (in-loop pushes are always fanins, hence smaller), so
      one scratch recompute per node suffices; a required-time move
@@ -267,40 +311,65 @@ let update_from t start =
     if
       abs_float (t.req_rise.(id) -. old_rr) > epsilon
       || abs_float (t.req_fall.(id) -. old_rf) > epsilon
-    then
-      match Netlist.node t.net id with
-      | Netlist.Primary_input -> ()
-      | Netlist.Cell { fanin; _ } ->
-        Array.iter (fun s -> Int_heap.push t.bheap s) fanin
+    then push_all t.bheap t.fanin.(id)
   done;
   t.pend_updates <- t.pend_updates + 1;
   t.pend_pops <- t.pend_pops + !pops;
   if t.pend_updates >= flush_batch then flush_counters t
 
 let circuit_delay t =
-  Array.fold_left
-    (fun acc o -> max acc (max t.arr_rise.(o) t.arr_fall.(o)))
-    0.0 (Netlist.outputs t.net)
+  let outputs = Netlist.outputs t.net in
+  let worst = ref 0.0 in
+  for i = 0 to Array.length outputs - 1 do
+    let o = outputs.(i) in
+    worst := fmax !worst (fmax t.arr_rise.(o) t.arr_fall.(o))
+  done;
+  !worst
+
+let fanout_edges net =
+  let n = Netlist.node_count net in
+  let sinks = Array.init n (fun id -> Array.make (Netlist.fanout_count net id) 0) in
+  let fill = Array.make n 0 in
+  Netlist.iter_gates net (fun c _ fanin ->
+      assert (Array.length fanin <= 1 lsl pin_bits);
+      Array.iteri
+        (fun pin src ->
+          sinks.(src).(fill.(src)) <- edge c pin;
+          fill.(src) <- fill.(src) + 1)
+        fanin);
+  sinks
+
+(* Every gate on the fast version with identity pins, factor rows
+   resolved to match. *)
+let install_fast t =
+  Netlist.iter_gates t.net (fun id kind fanin ->
+      let info = Library.info t.lib kind in
+      t.version.(id) <- 0;
+      t.perm.(id) <- identity_perm (Array.length fanin);
+      t.rise_row.(id) <- info.Library.rise_factors.(0);
+      t.fall_row.(id) <- info.Library.fall_factors.(0))
 
 let create ?load lib net =
   let n = Netlist.node_count net in
   let base = Array.make n 0.0 in
   let base_slew = Array.make n 0.0 in
-  let perm = Array.make n [||] in
   let load = match load with Some f -> f | None -> Delay_model.node_load net in
-  Netlist.iter_gates net (fun id kind fanin ->
+  Netlist.iter_gates net (fun id kind _ ->
       let fanout = load id in
       base.(id) <- Delay_model.base_delay kind ~fanout;
-      base_slew.(id) <- Delay_model.base_output_slew kind ~fanout;
-      perm.(id) <- identity_perm (Array.length fanin));
+      base_slew.(id) <- Delay_model.base_output_slew kind ~fanout);
   let t =
     {
       lib;
       net;
       version = Array.make n 0;
-      perm;
+      perm = Array.make n [||];
       base;
       base_slew;
+      fanin = Array.init n (Netlist.fanin net);
+      sinks = fanout_edges net;
+      rise_row = Array.make n [||];
+      fall_row = Array.make n [||];
       arr_rise = Array.make n 0.0;
       arr_fall = Array.make n 0.0;
       slew_rise = Array.make n 0.0;
@@ -321,6 +390,7 @@ let create ?load lib net =
          out);
     }
   in
+  install_fast t;
   forward t;
   t.budget <- circuit_delay t;
   backward t;
@@ -328,16 +398,20 @@ let create ?load lib net =
 
 let assign t id ~version ~perm =
   t.version.(id) <- version;
-  Array.blit perm 0 t.perm.(id) 0 (Array.length perm)
+  Array.blit perm 0 t.perm.(id) 0 (Array.length perm);
+  match Netlist.node t.net id with
+  | Netlist.Primary_input -> ()
+  | Netlist.Cell { kind; _ } ->
+    let info = Library.info t.lib kind in
+    t.rise_row.(id) <- info.Library.rise_factors.(version);
+    t.fall_row.(id) <- info.Library.fall_factors.(version)
 
 let version_of t id = t.version.(id)
 
 let perm_of t id = t.perm.(id)
 
 let reset_fast t =
-  Netlist.iter_gates t.net (fun id _ fanin ->
-      t.version.(id) <- 0;
-      t.perm.(id) <- identity_perm (Array.length fanin));
+  install_fast t;
   update t
 
 let set_budget t budget =
@@ -387,29 +461,28 @@ let candidate_feasible t id ~version ~perm =
   | Netlist.Primary_input -> invalid_arg "Sta.candidate_feasible: not a gate"
   | Netlist.Cell { kind; fanin } ->
     let info = Library.info t.lib kind in
-    let ok = ref true in
-    Array.iteri
-      (fun pin src ->
-        if !ok then begin
-          let phys = perm.(pin) in
-          let d_rise =
-            (t.base.(id) *. info.Library.rise_factors.(version).(phys))
-            +. (Delay_model.slew_sensitivity *. t.slew_fall.(src))
-          in
-          let d_fall =
-            (t.base.(id) *. info.Library.fall_factors.(version).(phys))
-            +. (Delay_model.slew_sensitivity *. t.slew_rise.(src))
-          in
-          if
-            t.arr_fall.(src) +. d_rise > t.req_rise.(id) +. epsilon
-            || t.arr_rise.(src) +. d_fall > t.req_fall.(id) +. epsilon
-          then ok := false
-        end)
-      fanin;
+    let rise_row = info.Library.rise_factors.(version)
+    and fall_row = info.Library.fall_factors.(version) in
+    let base = t.base.(id) in
+    let ok = ref true and pin = ref 0 in
+    while !ok && !pin < Array.length fanin do
+      let src = fanin.(!pin) and phys = perm.(!pin) in
+      let d_rise =
+        (base *. rise_row.(phys)) +. (Delay_model.slew_sensitivity *. t.slew_fall.(src))
+      in
+      let d_fall =
+        (base *. fall_row.(phys)) +. (Delay_model.slew_sensitivity *. t.slew_rise.(src))
+      in
+      if
+        t.arr_fall.(src) +. d_rise > t.req_rise.(id) +. epsilon
+        || t.arr_rise.(src) +. d_fall > t.req_fall.(id) +. epsilon
+      then ok := false;
+      incr pin
+    done;
     !ok
 
 let gate_slack t id =
-  min (t.req_rise.(id) -. t.arr_rise.(id)) (t.req_fall.(id) -. t.arr_fall.(id))
+  fmin (t.req_rise.(id) -. t.arr_rise.(id)) (t.req_fall.(id) -. t.arr_fall.(id))
 
 (* Generic forward pass with externally supplied factors. *)
 let delay_with lib net factors_of =
@@ -471,6 +544,7 @@ let arrival t id = (t.arr_rise.(id), t.arr_fall.(id))
 let required t id = (t.req_rise.(id), t.req_fall.(id))
 
 let edge_delays t id ~pin =
-  match Netlist.node t.net id with
-  | Netlist.Primary_input -> invalid_arg "Sta.edge_delays: not a gate"
-  | Netlist.Cell { kind; fanin } -> gate_delays t id kind pin fanin.(pin)
+  if Array.length t.fanin.(id) = 0 then invalid_arg "Sta.edge_delays: not a gate";
+  let src = t.fanin.(id).(pin) and phys = t.perm.(id).(pin) and base = t.base.(id) in
+  ( (base *. t.rise_row.(id).(phys)) +. (Delay_model.slew_sensitivity *. t.slew_fall.(src)),
+    (base *. t.fall_row.(id).(phys)) +. (Delay_model.slew_sensitivity *. t.slew_rise.(src)) )

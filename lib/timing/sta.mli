@@ -21,7 +21,16 @@
     gate-tree search does exactly that, reverting on failure).  That
     check is O(1) and exact in every state: the workspace keeps a count
     of late outputs current through every {!update}, {!update_from} and
-    {!set_budget}, whether or not the budget held before the change. *)
+    {!set_budget}, whether or not the budget held before the change.
+
+    The allocation contract: {!assign}, {!update_from},
+    {!candidate_feasible} and {!meets_budget} allocate nothing.  The
+    workspace resolves each node's fan-in and fan-out pins at {!create},
+    and each gate's rise/fall factor rows for its current version at
+    {!create}, {!reset_fast} and every {!assign}, so a worklist pop
+    reads arrays only: no netlist match, no library lookup, no closure
+    and no boxed float.  Accessors that return pairs ({!arrival},
+    {!required}, {!slew_of}, {!edge_delays}) allocate their tuple. *)
 
 type t
 (** Mutable timing workspace bound to one netlist and library. *)

@@ -207,13 +207,6 @@ let test_iv_on_dominates_off () =
   in
   Alcotest.(check bool) "on current orders of magnitude above leakage" true (on > 1e3 *. off)
 
-let test_on_current_bracket () =
-  (* The solver brackets chain currents with [on_current]; it must
-     exceed any off-state current. *)
-  let bracket = Iv.on_current p ~polarity:Process.Nmos ~width:10.0 in
-  let leak = Leakage.worst_case_isub p ~polarity:Process.Nmos ~vt:Process.Low_vt ~width:10.0 in
-  Alcotest.(check bool) "bracket above leakage" true (bracket > 100.0 *. leak)
-
 (* ----------------------------- derating --------------------------- *)
 
 let test_drive_factor_fast_is_one () =
@@ -271,7 +264,6 @@ let () =
           QCheck_alcotest.to_alcotest test_iv_monotone_vds;
           QCheck_alcotest.to_alcotest test_iv_monotone_vgs;
           quick "on dominates off" test_iv_on_dominates_off;
-          quick "bracket" test_on_current_bracket;
         ] );
       ( "derating",
         [

@@ -578,6 +578,45 @@ let test_stats_merge () =
   check Alcotest.int "pruned" 7 a.Search_stats.pruned;
   check Alcotest.bool "printable" true (String.length (Search_stats.to_string a) > 0)
 
+(* The timing, simulation and leakage kernels must keep every answer
+   bit for bit: the same floating-point operations in the same order.
+   Pinned when the kernels were last rewritten: MD5s of the heu1 and
+   greedy answers at penalty 0.05 on two stand-ins and a generated
+   5k-gate netlist, each the serialized assignment followed by the exact
+   bits of its circuit delay and leakage, and the exact bits of a packed
+   random-vector average.  The assignment alone is not enough: a
+   one-ulp change in a delay sum rarely flips an accept decision, but it
+   always moves the delay bits. *)
+let test_pinned_answers () =
+  let five_k =
+    Standby_circuits.Random_logic.generate ~seed:11 ~inputs:50 ~gates:5000 ~window:250 ()
+  in
+  let circuit name =
+    match Standby_circuits.Benchmarks.find name with
+    | Ok net -> net
+    | Error msg -> Alcotest.fail msg
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let greedy = Optimizer.Greedy { time_budget_s = 600.0 } in
+  List.iter
+    (fun (label, net, m, digest) ->
+      let r = Optimizer.run lib net ~penalty:0.05 m in
+      check Alcotest.string label digest
+        (md5
+           (Assignment.to_string r.Optimizer.assignment
+           ^ Printf.sprintf "delay %h leakage %h" r.Optimizer.delay (total r))))
+    [
+      ("c432 heu1", circuit "c432", Optimizer.Heuristic_1, "e9c649a22291c6a7b9ebd819eb71bd47");
+      ("c432 greedy", circuit "c432", greedy, "a75c922c9ba058eee5cc579c660f0470");
+      ("c880 heu1", circuit "c880", Optimizer.Heuristic_1, "f3d78e4406becf0998d134e0f4822334");
+      ("c880 greedy", circuit "c880", greedy, "e0926f5dc09531f99edc46418a30dbb3");
+      ("5k heu1", five_k, Optimizer.Heuristic_1, "44c69d3c3ce06389a2b6ae7d23d1bb89");
+      ("5k greedy", five_k, greedy, "a60d915b76367ee512258c53fdd20632");
+    ];
+  let b = Evaluate.random_vector_average ~vectors:2000 ~jobs:2 ~seed:11 lib five_k in
+  check Alcotest.string "5k random average" "800d117f5e4cd3287a793c3892a5819d"
+    (md5 (Printf.sprintf "%h %h %h" b.Evaluate.total b.Evaluate.isub b.Evaluate.igate))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "standby_opt"
@@ -606,6 +645,7 @@ let () =
           quick "heu2 explores more" test_heu2_explores_more;
           QCheck_alcotest.to_alcotest test_hill_climb_not_worse;
           quick "hill climb method name" test_hill_climb_method_name;
+          quick "pinned answers" test_pinned_answers;
         ] );
       ( "state-tree",
         [

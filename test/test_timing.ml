@@ -293,6 +293,54 @@ let test_feasible_rejects_infeasible () =
       then found_rejection := true);
   check Alcotest.bool "some candidate rejected at zero slack" true !found_rejection
 
+(* The incremental kernels are plain loops over preresolved arrays and
+   allocate nothing per worklist pop (see sta.mli).  Counted in minor
+   words, not time: a seeded walk of installs and cone updates on a
+   2,000-gate netlist, and the candidate pre-screen on the same walk.
+   The bounds leave room for the few words a batched metrics flush
+   takes; a closure or a boxed float on the per-pop path costs tens of
+   words per call. *)
+let test_kernels_do_not_allocate () =
+  let net =
+    Standby_circuits.Random_logic.generate ~gates:2000 ~inputs:20 ~window:100 ~seed:11 ()
+  in
+  let sta = Sta.create lib net in
+  Sta.set_budget sta (Sta.budget_for_penalty lib net ~penalty:0.05);
+  let rng = Prng.create ~seed:29 in
+  let gates = ref [] in
+  Netlist.iter_gates net (fun id kind _ -> gates := (id, kind) :: !gates);
+  let gates = Array.of_list (List.rev !gates) in
+  let steps = 2000 in
+  let walk =
+    Array.init steps (fun _ ->
+        let id, kind = gates.(Prng.int rng ~bound:(Array.length gates)) in
+        let state = Prng.int rng ~bound:(Gate_kind.state_count kind) in
+        let opts = Library.options lib kind ~state in
+        (id, opts.(Prng.int rng ~bound:(Array.length opts))))
+  in
+  let words_per_call f =
+    let before = Gc.minor_words () in
+    for i = 0 to steps - 1 do
+      let id, o = walk.(i) in
+      f id o
+    done;
+    (Gc.minor_words () -. before) /. float_of_int steps
+  in
+  let update =
+    words_per_call (fun id o ->
+        Sta.assign sta id ~version:o.Version.version ~perm:o.Version.perm;
+        Sta.update_from sta id)
+  in
+  if update > 4.0 then Alcotest.failf "assign + update_from: %.1f words per call" update;
+  let feasible = ref 0 in
+  let screen =
+    words_per_call (fun id o ->
+        if Sta.candidate_feasible sta id ~version:o.Version.version ~perm:o.Version.perm then
+          incr feasible)
+  in
+  if screen > 1.0 then Alcotest.failf "candidate_feasible: %.1f words per call" screen;
+  check Alcotest.bool "the walk screens both ways" true (!feasible > 0 && !feasible < steps)
+
 (* --------------------------- Timing report ------------------------ *)
 
 module Timing_report = Standby_timing.Timing_report
@@ -375,6 +423,7 @@ let () =
           quick "slacks nonnegative" test_slacks_nonnegative_within_budget;
           quick "version accessors" test_version_accessors;
           quick "rejects infeasible" test_feasible_rejects_infeasible;
+          quick "kernels do not allocate" test_kernels_do_not_allocate;
         ] );
       ( "timing-report",
         [

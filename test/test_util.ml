@@ -106,46 +106,11 @@ let test_pick_member () =
 
 (* ------------------------------- Stats ---------------------------- *)
 
-let test_stats_basics () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  check Alcotest.int "count" 4 (Stats.count s);
-  checkf "mean" 2.5 (Stats.mean s);
-  checkf "min" 1.0 (Stats.min_value s);
-  checkf "max" 4.0 (Stats.max_value s);
-  checkf "variance" (5.0 /. 3.0) (Stats.variance s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  checkf "empty mean" 0.0 (Stats.mean s);
-  checkf "empty variance" 0.0 (Stats.variance s);
-  Alcotest.check_raises "empty min" (Invalid_argument "Stats.min_value: empty") (fun () ->
-      ignore (Stats.min_value s))
-
-let test_stats_matches_naive =
-  QCheck.Test.make ~count:200 ~name:"welford matches naive mean/variance"
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_range (-100.) 100.))
-    (fun xs ->
-      let s = Stats.create () in
-      List.iter (Stats.add s) xs;
-      let n = float_of_int (List.length xs) in
-      let mean = List.fold_left ( +. ) 0.0 xs /. n in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs /. (n -. 1.0)
-      in
-      abs_float (Stats.mean s -. mean) < 1e-6
-      && abs_float (Stats.variance s -. var) < 1e-5 *. (1.0 +. var))
-
 let test_geometric_mean () =
   checkf "geomean" 2.0 (Stats.geometric_mean [| 1.0; 2.0; 4.0 |]);
   Alcotest.check_raises "non-positive"
     (Invalid_argument "Stats.geometric_mean: non-positive value") (fun () ->
       ignore (Stats.geometric_mean [| 1.0; 0.0 |]))
-
-let test_mean_of_array () =
-  checkf "mean of array" 2.0 (Stats.mean_of_array [| 1.0; 2.0; 3.0 |]);
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.mean_of_array: empty") (fun () ->
-      ignore (Stats.mean_of_array [||]))
 
 (* ------------------------------- Timer ---------------------------- *)
 
@@ -182,11 +147,7 @@ let () =
         ] );
       ( "stats",
         [
-          quick "basics" test_stats_basics;
-          quick "empty" test_stats_empty;
-          QCheck_alcotest.to_alcotest test_stats_matches_naive;
           quick "geometric mean" test_geometric_mean;
-          quick "mean of array" test_mean_of_array;
         ] );
       ( "timer",
         [
