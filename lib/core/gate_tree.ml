@@ -33,6 +33,40 @@ let fast_choices lib net states =
       choices.(id) <- Library.fast_option_index lib kind ~state:states.(id));
   choices
 
+(* The options cheaper than fast, cheapest first; the first that
+   confirms stays installed.  The local check is necessary but not
+   sufficient once output slews propagate, so each try is confirmed on
+   the updated workspace and reverted when a downstream path breaks. *)
+let lowest_feasible ~stats lib sta id kind ~state =
+  let options = Library.options lib kind ~state in
+  let fast_index = Library.fast_option_index lib kind ~state in
+  let fast_entry = options.(fast_index) in
+  let rec try_option i =
+    if i >= fast_index then fast_index
+    else begin
+      let entry = options.(i) in
+      if
+        Sta.candidate_feasible sta id ~version:entry.Version.version
+          ~perm:entry.Version.perm
+      then begin
+        Sta.assign sta id ~version:entry.Version.version ~perm:entry.Version.perm;
+        Sta.update_from sta id;
+        if Sta.meets_budget sta then begin
+          stats.Search_stats.gate_changes <- stats.Search_stats.gate_changes + 1;
+          i
+        end
+        else begin
+          Sta.assign sta id ~version:fast_entry.Version.version
+            ~perm:fast_entry.Version.perm;
+          Sta.update_from sta id;
+          try_option (i + 1)
+        end
+      end
+      else try_option (i + 1)
+    end
+  in
+  try_option 0
+
 let greedy ?(order = By_saving) ~stats lib sta ~states =
  Telemetry.span "gate_tree.greedy" (fun () ->
   let net = Sta.netlist sta in
@@ -51,37 +85,11 @@ let greedy ?(order = By_saving) ~stats lib sta ~states =
   Array.iter (fun (_, _, _, fast, _) -> total := !total +. fast) rows;
   Array.iter
     (fun (id, kind, state, fast_leak, _) ->
-      let options = Library.options lib kind ~state in
-      let fast_index = Library.fast_option_index lib kind ~state in
-      let fast_entry = options.(fast_index) in
-      let rec try_option i =
-        if i < fast_index then begin
-          let entry = options.(i) in
-          (* The local check is necessary but not sufficient once output
-             slews propagate, so confirm on the updated workspace and
-             revert when a downstream path breaks. *)
-          if
-            Sta.candidate_feasible sta id ~version:entry.Version.version
-              ~perm:entry.Version.perm
-          then begin
-            Sta.assign sta id ~version:entry.Version.version ~perm:entry.Version.perm;
-            Sta.update_from sta id;
-            if Sta.meets_budget sta then begin
-              choices.(id) <- i;
-              total := !total -. fast_leak +. entry.Version.leakage;
-              stats.Search_stats.gate_changes <- stats.Search_stats.gate_changes + 1
-            end
-            else begin
-              Sta.assign sta id ~version:fast_entry.Version.version
-                ~perm:fast_entry.Version.perm;
-              Sta.update_from sta id;
-              try_option (i + 1)
-            end
-          end
-          else try_option (i + 1)
-        end
-      in
-      try_option 0)
+      let i = lowest_feasible ~stats lib sta id kind ~state in
+      if i <> choices.(id) then begin
+        choices.(id) <- i;
+        total := !total -. fast_leak +. (Library.options lib kind ~state).(i).Version.leakage
+      end)
     rows;
   Telemetry.add_fields [ ("leakage", Json.Float !total) ];
   { choices; leakage = !total })

@@ -16,6 +16,25 @@ type result = {
 
 type order = By_saving | Topological
 
+val lowest_feasible :
+  stats:Search_stats.t ->
+  Standby_cells.Library.t ->
+  Standby_timing.Sta.t ->
+  int ->
+  Standby_netlist.Gate_kind.t ->
+  state:int ->
+  int
+(** [lowest_feasible ~stats lib sta id kind ~state] — one gate's step of
+    the downward traversal.  The gate must be on its fast option for
+    [state], with timing up to date and the budget met.  The options
+    cheaper than fast are tried cheapest first: each is pre-screened
+    with {!Standby_timing.Sta.candidate_feasible}, installed, re-timed
+    with {!Standby_timing.Sta.update_from} and confirmed with
+    {!Standby_timing.Sta.meets_budget}; a failed confirm reverts the
+    gate to fast.  Returns the option index left installed (the fast
+    index when no cheaper option fits), so every index below it was
+    rejected.  Counts an accepted option in [gate_changes]. *)
+
 val greedy :
   ?order:order ->
   stats:Search_stats.t ->

@@ -1,34 +1,27 @@
-(** Anytime sensitivity-guided optimizer for circuits far beyond
+(** Anytime sensitivity-ordered optimizer for circuits far beyond
     branch-and-bound reach (100k–1M gates).
 
-    The production multi-Vt recipe as an anytime algorithm: seed a sleep
-    vector with a fast state scan, start from the all-fast (always
-    feasible) assignment, then repeatedly swap single gates to their
-    next lower-leakage version in descending
-    Δleakage/Δdelay-sensitivity order while the worst slack stays
-    non-negative.  Each round rebuilds a max-heap of candidate swaps
-    against the current slack landscape and lets every gate take at most
-    one step; a swap is committed only after a cone-limited
-    {!Standby_timing.Sta.update_from} confirms the moved gate's slack,
-    and is reverted (a "back-off") otherwise.  A gate whose option
-    ladder is exhausted is blocked permanently; a gate blocked on slack
-    is only parked — accepted swaps carry pin permutations that can
-    re-map a neighbor's critical pin to a faster edge, so slack is
-    occasionally handed {e back} — and is re-admitted at the next
-    re-sort if its slack strictly grew past the value recorded when it
-    was parked (counted by [greedy.unblocks]).  The algorithm still
-    terminates when a round applies no swap: re-admission by itself
-    applies nothing, and every applied swap strictly decreases leakage
-    over a finite option space.
+    The production multi-Vt recipe as one pass of the paper's gate-tree
+    step: seed a sleep vector with a fast state scan, start from the
+    all-fast (always feasible) assignment, score once every gate that
+    has a cheaper option and positive slack by the
+    Δleakage/Δdelay sensitivity of its first step down, and visit those
+    gates in descending score (ties by id).  Each gate settles once on
+    the cheapest option that keeps every path inside the budget
+    ({!Gate_tree.lowest_feasible}: pre-screen, install, cone-limited
+    {!Standby_timing.Sta.update_from}, confirm, revert on failure).
+    There are no rounds: a gate is never revisited, so the run ends
+    after at most one step per gate.
 
     The anytime contract: the seed incumbent is emitted before any work,
     every emission is strictly leakage-improving and delay-feasible, and
-    an expired timer stops the run at the next candidate boundary with
-    the best incumbent intact.  For a budget large enough to reach
-    quiescence the result is deterministic.
+    an expired timer stops the run at the next gate boundary (polled
+    every 32 gates) with the best incumbent intact.  For a budget large
+    enough to finish the pass the result is deterministic.
 
-    Emits the [greedy.swaps], [greedy.backoffs], [greedy.rounds],
-    [greedy.heap_pops] and [greedy.unblocks] telemetry counters. *)
+    Emits the [greedy.heap_pops] (gates taken from the order),
+    [greedy.swaps] (gates moved below fast) and [greedy.backoffs]
+    (cheaper options rejected) telemetry counters. *)
 
 val seed_vectors : seed:int -> count:int -> int -> bool array list
 (** [seed_vectors ~seed ~count inputs] — the deterministic candidate
@@ -53,7 +46,6 @@ val seed_scan :
 
 val run :
   ?candidates:bool array list ->
-  ?unblock:bool ->
   ?on_incumbent:(State_tree.leaf -> unit) ->
   ?interrupt:(unit -> bool) ->
   stats:Search_stats.t ->
@@ -64,9 +56,8 @@ val run :
 (** [run ~stats ~timer lib sta] — [sta] must carry the delay budget
     (see {!Standby_timing.Sta.set_budget}); its assignment is clobbered.
     The seed vector comes from {!seed_scan}; [candidates], when
-    non-empty, replaces its generated vectors entirely.  [unblock]
-    (default [true]) enables re-admission of slack-parked gates.  [on_incumbent] fires on
-    the seed solution and then on every improvement, including mid-round
-    every few thousand swaps; [interrupt] is polled at candidate
-    boundaries.  At least the seed incumbent is always produced, even on
+    non-empty, replaces its generated vectors entirely.  [on_incumbent]
+    fires on the seed solution, every 8,192 swaps and at the end of the
+    pass, each time only if leakage improved; [interrupt] is polled with
+    the timer at gate boundaries.  At least the seed incumbent is always produced, even on
     an expired timer. *)
