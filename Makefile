@@ -1,4 +1,4 @@
-.PHONY: all test ci perf-smoke bench clean
+.PHONY: all test ci perf-smoke perf-pairs bench clean
 
 all:
 	dune build
@@ -15,6 +15,14 @@ ci:
 # jobs=2); exits 1 if any answer fails.  About two minutes.
 perf-smoke:
 	bash perfbench/run.sh all --repeat 1 --seconds 1
+
+# PAIRS paired `all --repeat 1` runs of the working tree against BASE (a
+# git revision), which side first alternating, judged with
+# `compare --pairs`; results in _perfpairs/.  About six minutes a pair.
+PAIRS ?= 10
+perf-pairs:
+	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [PAIRS=10]"; exit 2; }
+	bash tools/perf_pairs.sh $(BASE) $(PAIRS)
 
 bench:
 	dune exec bin/standbyopt.exe -- report

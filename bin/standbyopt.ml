@@ -190,9 +190,10 @@ let method_conv =
 let method_arg =
   let doc =
     "Optimization method: heu1, heu2, hc (heu1 + hill climbing), exact, greedy — the \
-     anytime sensitivity-guided swap heap for very large circuits (100k+ gates), bounded \
-     by --time-limit — or partition: FM min-cut decomposition into regions optimized \
-     greedily --jobs at a time, then reconciled globally (see --regions)."
+     anytime one-pass, sensitivity-ordered gate-tree step for very large circuits \
+     (100k+ gates), bounded by --time-limit — or partition: FM min-cut decomposition \
+     into regions optimized greedily --jobs at a time, then reconciled globally (see \
+     --regions)."
   in
   Arg.(
     value & opt method_conv Optimizer.Heuristic_1

@@ -18,10 +18,11 @@ type method_ =
       (** Full branch-and-bound over states with exact gate trees; only
           tractable for small circuits. *)
   | Greedy of { time_budget_s : float }
-      (** Anytime sensitivity-guided swap heap (see {!Greedy}): scales
-          to 100k–1M gates, emits a strictly improving incumbent stream,
-          and stops at the hard [time_budget_s] with the best incumbent
-          found.  Sequential regardless of [jobs]. *)
+      (** Anytime: one pass of the gate-tree step in sensitivity order
+          (see {!Greedy}).  Scales to 100k–1M gates, emits a strictly
+          improving incumbent stream, and stops at the hard
+          [time_budget_s] with the best incumbent found.  Sequential
+          regardless of [jobs]. *)
   | Partition of { time_budget_s : float; regions : int }
       (** Partition-and-conquer for huge circuits: FM min-cut
           decomposition into [regions] parts ([0] sizes automatically
