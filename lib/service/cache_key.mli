@@ -28,10 +28,58 @@ val digest :
   penalty:float ->
   method_:Standby_opt.Optimizer.method_ ->
   string
-(** 32-character lowercase hex key. *)
+(** 32-character lowercase hex key:
+    [digest_of_canonical ~canonical:(canonical net)]. *)
+
+val digest_of_canonical :
+  canonical:string ->
+  process:Standby_device.Process.t ->
+  mode:Standby_cells.Version.mode ->
+  penalty:float ->
+  method_:Standby_opt.Optimizer.method_ ->
+  string
+(** {!digest} from a netlist's {!canonical} rendering, for callers that
+    already hold it. *)
 
 val method_descriptor : Standby_opt.Optimizer.method_ -> string
 (** Method name plus its parameters (time limits, round counts) —
     anything that changes the answer must change the descriptor. *)
 
 val mode_descriptor : Standby_cells.Version.mode -> string
+
+(** Inline netlist texts mapped to their {!canonical} renderings, so a
+    caller that sees the same [.bench] bytes again skips the parse.
+
+    The key is the text itself, hashed and compared in full: two texts
+    share an entry only when they are byte-equal, never by a digest
+    collision.  Only successful parses are stored, so a malformed text
+    fails the same way every time.  Entries cost the bytes of the text
+    plus its rendering; the memo evicts oldest-first to stay within
+    [cap_bytes] and never stores an entry larger than the cap, and a
+    text not (or no longer) stored is simply parsed again.  Safe to
+    share between threads: lookups and stores take a mutex, parsing
+    does not. *)
+module Source_memo : sig
+  type t
+
+  val create :
+    hits:Standby_telemetry.Metrics.counter ->
+    misses:Standby_telemetry.Metrics.counter ->
+    evictions:Standby_telemetry.Metrics.counter ->
+    bytes:Standby_telemetry.Metrics.gauge ->
+    cap_bytes:int ->
+    t
+  (** An empty memo.  It counts lookups answered from the memo ([hits])
+      or by a parse ([misses]) and entries evicted, and keeps [bytes] at
+      the bytes it holds: text plus rendering, summed over the
+      entries. *)
+
+  val canonical :
+    t ->
+    string ->
+    parse:(string -> (Standby_netlist.Netlist.t, string) result) ->
+    (string, string) result
+  (** [canonical memo text ~parse] is the stored rendering of [text], or
+      [parse text] rendered (and stored); a parse error is returned
+      as is. *)
+end

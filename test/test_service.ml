@@ -15,6 +15,7 @@ module Cache_key = Standby_service.Cache_key
 module Result_store = Standby_service.Result_store
 module Pool = Standby_pool.Pool
 module Engine = Standby_service.Engine
+module Metrics = Standby_telemetry.Metrics
 
 let check = Alcotest.check
 let quick name f = Alcotest.test_case name `Quick f
@@ -221,6 +222,173 @@ let test_digest_sensitivity () =
       ("greedy:1.2345", Optimizer.Greedy { time_budget_s = 1.2345 });
       ("partition:0.0004:r2", Optimizer.Partition { time_budget_s = 0.0004; regions = 2 });
     ]
+
+(* The rendering as it was first written, with [Printf] per node: an
+   independent reference the buffer-and-digits [Cache_key.canonical]
+   must match byte for byte, since stored keys hash these bytes. *)
+let printf_canonical net =
+  let buf = Buffer.create 4096 in
+  let inputs = Netlist.inputs net in
+  Buffer.add_string buf (Printf.sprintf "inputs %d\n" (Array.length inputs));
+  let canon = Array.make (Netlist.node_count net) (-1) in
+  Array.iteri (fun position id -> canon.(id) <- position) inputs;
+  let next = ref (Array.length inputs) in
+  let emit id =
+    let fanin = Netlist.fanin net id in
+    let kind = match Netlist.kind_of net id with Some k -> k | None -> assert false in
+    let cid = !next in
+    incr next;
+    canon.(id) <- cid;
+    Buffer.add_string buf (Printf.sprintf "n%d = %s(" cid (Gate_kind.name kind));
+    Array.iteri
+      (fun pin driver ->
+        if pin > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf (Printf.sprintf "n%d" canon.(driver)))
+      fanin;
+    Buffer.add_string buf ")\n"
+  in
+  Netlist.postorder ~fanin:(Netlist.fanin net) (Netlist.node_count net) (Netlist.outputs net) emit;
+  Buffer.add_string buf "outputs ";
+  Array.iteri
+    (fun i id ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (Printf.sprintf "n%d" canon.(id)))
+    (Netlist.outputs net);
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+let test_canonical_oracle_standins () =
+  List.iter
+    (fun name ->
+      let net = Benchmarks.circuit name in
+      check Alcotest.string name (printf_canonical net) (Cache_key.canonical net))
+    Benchmarks.names
+
+let test_canonical_oracle_random =
+  QCheck.Test.make ~count:60 ~name:"canonical matches the printf rendering"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 100_000))
+    (fun seed ->
+      let inputs = 2 + (seed mod 30) in
+      let net =
+        Standby_circuits.Random_logic.generate ~seed ~inputs ~gates:(inputs + (seed mod 200)) ()
+      in
+      String.equal (printf_canonical net) (Cache_key.canonical net))
+
+(* ------------------------------------------------------------------ *)
+(* Source memo                                                          *)
+
+let memo_digest canonical =
+  Cache_key.digest_of_canonical ~canonical ~process:Process.default ~mode:Version.default_mode
+    ~penalty:0.05 ~method_:Optimizer.Heuristic_1
+
+let reference_digest text =
+  match Bench_io.of_string text with
+  | Ok net ->
+    Cache_key.digest ~net ~process:Process.default ~mode:Version.default_mode ~penalty:0.05
+      ~method_:Optimizer.Heuristic_1
+  | Error msg -> Alcotest.fail msg
+
+let memo_key memo text =
+  match Cache_key.Source_memo.canonical memo text ~parse:(Bench_io.of_string ~name:"memo") with
+  | Ok canonical -> memo_digest canonical
+  | Error msg -> Alcotest.failf "memo refused a valid text: %s" msg
+
+let standin_text name = Bench_io.to_string (Benchmarks.circuit name)
+
+(* A memo whose instruments live in a registry of their own, and
+   readers for them. *)
+let test_memo ~cap_bytes =
+  let registry = Metrics.create () in
+  let memo =
+    Cache_key.Source_memo.create ~hits:(Metrics.counter registry "hits")
+      ~misses:(Metrics.counter registry "misses") ~evictions:(Metrics.counter registry "evictions")
+      ~bytes:(Metrics.gauge registry "bytes") ~cap_bytes
+  in
+  let counter name = Option.get (Metrics.find_counter (Metrics.registry_snapshot registry) name) in
+  let bytes () =
+    int_of_float (Option.get (Metrics.find_gauge (Metrics.registry_snapshot registry) "bytes"))
+  in
+  (memo, counter, bytes)
+
+let test_memo_keys () =
+  let c17 = read_file (data_file "c17.bench") in
+  let c432 = standin_text "c432" and c499 = standin_text "c499" in
+  let size text =
+    String.length text + String.length (Cache_key.canonical (Result.get_ok (Bench_io.of_string text)))
+  in
+  (* Room for c17 with either, but not for c432 and c499 together. *)
+  let cap_bytes = size c17 + size c499 in
+  check Alcotest.bool "c432 smaller than c499" true (size c432 < size c499);
+  let memo, counter, bytes = test_memo ~cap_bytes in
+  (* Whether a lookup parsed: a stored text is answered without. *)
+  let parsed text =
+    let before = counter "misses" in
+    let key = memo_key memo text in
+    check Alcotest.string "memo key = Cache_key.digest" (reference_digest text) key;
+    counter "misses" > before
+  in
+  check Alcotest.bool "first sight parses" true (parsed c432);
+  check Alcotest.bool "a repeat does not" false (parsed c432);
+  check Alcotest.int "the repeat is a hit" 1 (counter "hits");
+  check Alcotest.bool "c17 parses" true (parsed c17);
+  check Alcotest.int "both fit" (size c432 + size c17) (bytes ());
+  check Alcotest.bool "c499 parses" true (parsed c499);
+  check Alcotest.int "the oldest, c432, was evicted" 1 (counter "evictions");
+  check Alcotest.bool "within the cap" true (bytes () <= cap_bytes);
+  check Alcotest.bool "after eviction c432 parses again" true (parsed c432);
+  check Alcotest.bool "still within the cap" true (bytes () <= cap_bytes);
+  (* Statements permuted and signals renamed: a different text, the
+     same structure, so the same key. *)
+  let lines = String.split_on_char '\n' c17 in
+  let is_gate line = String.contains line '=' in
+  let renamed =
+    String.concat "net_"
+      (String.split_on_char 'G'
+         (String.concat "\n"
+            (List.filter (fun l -> not (is_gate l)) lines @ List.rev (List.filter is_gate lines))))
+  in
+  check Alcotest.bool "a different text" false (String.equal renamed c17);
+  check Alcotest.string "permuted and renamed" (memo_key memo c17) (memo_key memo renamed)
+
+let test_memo_refusals () =
+  let memo, counter, bytes = test_memo ~cap_bytes:4096 in
+  let malformed = "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n" in
+  let ask text = Cache_key.Source_memo.canonical memo text ~parse:(Bench_io.of_string ~name:"bad") in
+  let first = ask malformed in
+  check Alcotest.bool "malformed text is refused" true (Result.is_error first);
+  check Alcotest.(result string string) "the same error twice" first (ask malformed);
+  check Alcotest.(result string string) "the error the parser gives"
+    (Result.map Cache_key.canonical (Bench_io.of_string ~name:"bad" malformed))
+    first;
+  check Alcotest.int "both asks parsed" 2 (counter "misses");
+  check Alcotest.int "nothing stored" 0 (bytes ());
+  let big = standin_text "c432" in
+  check Alcotest.bool "c432 exceeds the cap" true (String.length big > 4096);
+  check Alcotest.string "oversized text still keys" (reference_digest big) (memo_key memo big);
+  check Alcotest.string "and again" (reference_digest big) (memo_key memo big);
+  check Alcotest.int "oversized text parsed both times" 4 (counter "misses");
+  check Alcotest.int "still nothing stored" 0 (bytes ())
+
+let test_memo_threads () =
+  let texts = Array.of_list (List.map standin_text [ "c432"; "c499"; "c880"; "c1355" ]) in
+  let n = Array.length texts in
+  let want = Array.map reference_digest texts in
+  (* Smaller than the four together, so the threads also race evictions. *)
+  let cap_bytes = 2 * (String.length texts.(0) + String.length texts.(1)) in
+  let memo, counter, bytes = test_memo ~cap_bytes in
+  let results = Array.make 4 [] in
+  let worker k () =
+    results.(k) <-
+      List.init (3 * n) (fun r ->
+          let j = (r + k) mod n in
+          (j, memo_key memo texts.(j)))
+  in
+  List.iter Thread.join (List.init 4 (fun k -> Thread.create (worker k) ()));
+  Array.iter
+    (List.iter (fun (j, key) -> check Alcotest.string "same key from every thread" want.(j) key))
+    results;
+  check Alcotest.int "every lookup counted" (4 * 3 * n) (counter "hits" + counter "misses");
+  check Alcotest.bool "within the cap" true (bytes () <= cap_bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Result store                                                         *)
@@ -500,6 +668,14 @@ let () =
           quick "canonical invariance" test_canonical_invariance;
           quick "digest sensitivity" test_digest_sensitivity;
           quick "pinned digests" test_digest_pinned;
+          quick "canonical matches printf on the stand-ins" test_canonical_oracle_standins;
+          QCheck_alcotest.to_alcotest test_canonical_oracle_random;
+        ] );
+      ( "source-memo",
+        [
+          quick "keys on first sight, repeat and after eviction" test_memo_keys;
+          quick "refusals and oversized texts are not stored" test_memo_refusals;
+          quick "threads share one memo" test_memo_threads;
         ] );
       ( "result-store",
         [

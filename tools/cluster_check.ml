@@ -9,6 +9,8 @@
      - c17 (inline bench text) and c432 (builtin circuit) through the
        router answer the same leakage the offline `standbyopt batch` run
        wrote to BATCH_CSV (1e-5 relative: the CSV renders %%.6g),
+     - c17's inline text sent again answers bit-identically (timings
+       aside), and the router's metrics count it as a source-memo hit,
      - SIGKILL of the backend actually running a long job mid-stream is
        survived: the router fails the dead dial over to the surviving
        backend and the client still receives a result — bit-identical
@@ -168,6 +170,37 @@ let () =
   in
   check_csv_parity ~what:"routed c17" ~served:r_c17.Protocol.leakage_a
     ~expected:(csv_leakage csv_file ~job:"c17-tight");
+  (* The same inline text again: the router keys it from its source memo
+     without a parse, and the answer must not move by a bit. *)
+  let r_c17_again =
+    expect_result "c17 again via router"
+      (cok "c17 again rpc"
+         (Client.rpc router
+            (optimize ~id:"ci-c17"
+               ~source:(Protocol.Bench { name = "c17"; text = bench_text })
+               ~penalty:0.02)))
+  in
+  let answer (p : Protocol.result_payload) =
+    Json.to_string
+      (Protocol.response_to_json (Protocol.Result { p with runtime_s = 0.0; wall_s = 0.0 }))
+  in
+  if answer r_c17_again <> answer r_c17 then
+    fail "repeated c17 answer differs:\n  %s\n  %s" (answer r_c17) (answer r_c17_again);
+  let memo_hits =
+    match cok "metrics rpc" (Client.rpc router Protocol.Metrics) with
+    | Protocol.Metrics_reply { body; _ } ->
+      List.find_map
+        (fun line ->
+          match String.split_on_char ' ' line with
+          | [ "cluster_source_memo_hits"; v ] -> int_of_string_opt v
+          | _ -> None)
+        (String.split_on_char '\n' body)
+    | r -> fail "metrics: got %s" (Json.to_string (Protocol.response_to_json r))
+  in
+  (match memo_hits with
+   | Some n when n >= 1 -> say "repeated c17 bit-identical, routed from the source memo (hits %d)" n
+   | Some n -> fail "router source memo hits %d after a repeated inline request" n
+   | None -> fail "router metrics lack cluster_source_memo_hits");
   let r_c432 =
     expect_result "c432 via router"
       (cok "c432 rpc"
