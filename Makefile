@@ -1,4 +1,4 @@
-.PHONY: all test ci perf-smoke perf-pairs bench clean
+.PHONY: all test ci perf-smoke perf-pairs pop-cost bench clean
 
 all:
 	dune build
@@ -23,6 +23,12 @@ PAIRS ?= 10
 perf-pairs:
 	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [PAIRS=10]"; exit 2; }
 	bash tools/perf_pairs.sh $(BASE) $(PAIRS)
+
+# Pops, seconds and ns per incremental-STA worklist pop for greedy and
+# heu1 run to quiescence at 5k, 20k and 100k generated gates.  About a
+# minute; not part of `ci`.
+pop-cost:
+	dune exec tools/pop_cost.exe
 
 bench:
 	dune exec bin/standbyopt.exe -- report

@@ -2,7 +2,6 @@ module Netlist = Standby_netlist.Netlist
 module Library = Standby_cells.Library
 module Telemetry = Standby_telemetry.Telemetry
 module Metrics = Standby_telemetry.Metrics
-module Int_heap = Standby_util.Int_heap
 
 (* Registered at module initialization; updated lock-free.  The
    incremental recompute is the optimizer's hottest call, so it gets a
@@ -17,6 +16,65 @@ let m_worklist_pops =
     ~help:"Nodes settled by incremental STA worklists"
 
 let epsilon = 1e-9
+
+(* The incremental update's worklists: node ids bucketed by logic level,
+   one intrusive LIFO list per level ([head] per level, [next] per node,
+   [idle] marking a node that is not queued), with every non-empty
+   bucket between the [lo] and [hi] cursors.  Push and pop are O(1)
+   amortized: a cursor only crosses empty buckets inside the cone being
+   re-timed.  Nodes on one level never read each other, so popping in
+   level order settles each node once, after everything it reads, and
+   the order within a level cannot change a float. *)
+module Level_queue = struct
+  type t = {
+    level : int array;
+    head : int array;
+    next : int array;
+    mutable lo : int;
+    mutable hi : int;
+    mutable size : int;
+  }
+
+  let idle = -2
+
+  let create net =
+    let depth = Netlist.depth net in
+    { level = Netlist.level_of net; head = Array.make (depth + 1) (-1);
+      next = Array.make (Netlist.node_count net) idle; lo = depth + 1; hi = -1; size = 0 }
+
+  let push q id =
+    if q.next.(id) = idle then begin
+      let l = q.level.(id) in
+      q.next.(id) <- q.head.(l);
+      q.head.(l) <- id;
+      if l < q.lo then q.lo <- l;
+      if l > q.hi then q.hi <- l;
+      q.size <- q.size + 1
+    end
+
+  let take q l =
+    let id = q.head.(l) in
+    q.head.(l) <- q.next.(id);
+    q.next.(id) <- idle;
+    q.size <- q.size - 1;
+    if q.size = 0 then begin
+      q.lo <- Array.length q.head;
+      q.hi <- -1
+    end;
+    id
+
+  let pop_lowest q =
+    while q.head.(q.lo) < 0 do
+      q.lo <- q.lo + 1
+    done;
+    take q q.lo
+
+  let pop_highest q =
+    while q.head.(q.hi) < 0 do
+      q.hi <- q.hi - 1
+    done;
+    take q q.hi
+end
 
 (* Frozen boundary timing for partitioned sub-circuits (standby.partition):
    per-input arrival/slew overrides freeze what the surrounding circuit
@@ -59,8 +117,8 @@ type t = {
   mutable budget : float;
   (* Preallocated worklists and output membership for the incremental
      update — the optimizer's hottest path must not allocate. *)
-  fheap : Int_heap.t;
-  bheap : Int_heap.t;
+  fqueue : Level_queue.t;
+  bqueue : Level_queue.t;
   is_out : bool array;
   (* Per-output late flags and their count (see [mark_late]), so
      feasibility is a read. *)
@@ -256,29 +314,30 @@ let recompute_required t id =
   t.req_rise.(id) <- !rr;
   t.req_fall.(id) <- !rf
 
-let push_all heap ids =
+let push_all q ids =
   for i = 0 to Array.length ids - 1 do
-    Int_heap.push heap ids.(i)
+    Level_queue.push q ids.(i)
   done
 
-let push_consumers heap sinks =
+let push_consumers q sinks =
   for k = 0 to Array.length sinks - 1 do
-    Int_heap.push heap (edge_node sinks.(k))
+    Level_queue.push q (edge_node sinks.(k))
   done
 
 let update_from t start =
   let pops = ref 0 in
-  (* Forward: fanout-driven worklist from [start].  Node ids are
-     topological, so the ascending heap settles each node exactly once
-     — cost scales with the affected cone, not the netlist. *)
-  Int_heap.push t.fheap start;
-  while not (Int_heap.is_empty t.fheap) do
-    let id = Int_heap.pop t.fheap in
+  (* Forward: fanout-driven worklist from [start].  An arrival reads
+     only fan-ins, which sit on lower levels, so lowest-level-first pops
+     settle each node exactly once — cost scales with the affected
+     cone, not the netlist. *)
+  Level_queue.push t.fqueue start;
+  while t.fqueue.size > 0 do
+    let id = Level_queue.pop_lowest t.fqueue in
     incr pops;
     if Array.length t.fanin.(id) = 0 then
       (* Only reachable when [start] itself is an input: its arrival is
          fixed, but its cone must still be rechecked. *)
-      push_consumers t.fheap t.sinks.(id)
+      push_consumers t.fqueue t.sinks.(id)
     else begin
       let old_rise = t.arr_rise.(id) and old_fall = t.arr_fall.(id) in
       let old_srise = t.slew_rise.(id) and old_sfall = t.slew_fall.(id) in
@@ -292,30 +351,30 @@ let update_from t start =
         abs_float (t.slew_rise.(id) -. old_srise) > epsilon
         || abs_float (t.slew_fall.(id) -. old_sfall) > epsilon
       in
-      if id = start || slew_moved then Int_heap.push t.bheap id;
+      if id = start || slew_moved then Level_queue.push t.bqueue id;
       if
         id = start || slew_moved
         || abs_float (t.arr_rise.(id) -. old_rise) > epsilon
         || abs_float (t.arr_fall.(id) -. old_fall) > epsilon
-      then push_consumers t.fheap t.sinks.(id)
+      then push_consumers t.fqueue t.sinks.(id)
     end
   done;
   (* The assignment changed [start]'s pin delays, so its fanins'
      required times can move even when no arrival does. *)
-  push_all t.bheap t.fanin.(start);
-  (* Backward: descending pops settle every consumer before its
-     producers (in-loop pushes are always fanins, hence smaller), so
+  push_all t.bqueue t.fanin.(start);
+  (* Backward: highest-level-first pops settle every consumer before
+     its producers (in-loop pushes are always fanins, hence lower), so
      one scratch recompute per node suffices; a required-time move
      wakes the node's own fanins. *)
-  while not (Int_heap.is_empty t.bheap) do
-    let id = Int_heap.pop t.bheap in
+  while t.bqueue.size > 0 do
+    let id = Level_queue.pop_highest t.bqueue in
     incr pops;
     let old_rr = t.req_rise.(id) and old_rf = t.req_fall.(id) in
     recompute_required t id;
     if
       abs_float (t.req_rise.(id) -. old_rr) > epsilon
       || abs_float (t.req_fall.(id) -. old_rf) > epsilon
-    then push_all t.bheap t.fanin.(id)
+    then push_all t.bqueue t.fanin.(id)
   done;
   t.pend_updates <- t.pend_updates + 1;
   t.pend_pops <- t.pend_pops + !pops;
@@ -397,8 +456,8 @@ let create ?load lib net =
       boundary = None;
       late = Array.make n false;
       late_count = 0;
-      fheap = Int_heap.create n;
-      bheap = Int_heap.create ~descending:true n;
+      fqueue = Level_queue.create net;
+      bqueue = Level_queue.create net;
       is_out =
         (let out = Array.make n false in
          Array.iter (fun o -> out.(o) <- true) (Netlist.outputs net);
@@ -510,10 +569,6 @@ let slowest_delay t =
   install_rows t ~slowest:false;
   forward t;
   slow
-
-let all_fast_delay lib net = circuit_delay (create lib net)
-
-let all_slow_delay lib net = slowest_delay (create lib net)
 
 let budget_for_penalty lib net ~penalty =
   let t = create lib net in

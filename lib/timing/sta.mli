@@ -30,7 +30,14 @@
     {!create}, {!reset_fast} and every {!assign}, so a worklist pop
     reads arrays only: no netlist match, no library lookup, no closure
     and no boxed float.  Accessors that return pairs ({!arrival},
-    {!required}, {!slew_of}, {!edge_delays}) allocate their tuple. *)
+    {!required}, {!slew_of}, {!edge_delays}) allocate their tuple.
+
+    The incremental worklists are level buckets keyed on
+    {!Standby_netlist.Netlist.level_of}: an O(1) push and pop, lowest
+    level first forward and highest first backward.  An arrival reads
+    only fan-ins (lower levels) and a required time only consumers
+    (higher levels), so each node settles once, after everything it
+    reads. *)
 
 type t
 (** Mutable timing workspace bound to one netlist and library. *)
@@ -87,11 +94,13 @@ val update : t -> unit
 
 val update_from : t -> int -> unit
 (** Propagate arrivals forward from one changed gate through its fanout
-    cone (worklist in topological id order), then refresh required
-    times backward from the changed gate, its fanins and the nodes
-    whose output slews actually moved — a required time reads a node's
-    slew and its consumers' required times and pin delays, never its
-    arrival — waking a node's fanins whenever its required time moves.
+    cone (worklist popped lowest logic level first), then refresh
+    required times backward (highest level first) from the changed
+    gate, its fanins and the nodes whose output slews actually moved —
+    a required time reads a node's slew and its consumers' required
+    times and pin delays, never its arrival — waking a node's fanins
+    whenever its required time moves.  Nodes on one level never read
+    each other, so the order within a level cannot change a float.
     Equivalent to {!update} up to timing epsilon, but the cost scales
     with the affected cone and the steady state allocates nothing. *)
 
@@ -131,12 +140,6 @@ val slowest_delay : t -> float
     delay-penalty axis — timed on this workspace's forward pass.  The
     workspace must be all-fast, as {!create} and {!reset_fast} leave it;
     it is left exactly so, timing included. *)
-
-val all_fast_delay : Standby_cells.Library.t -> Standby_netlist.Netlist.t -> float
-(** Circuit delay with every cell fast, on a fresh workspace. *)
-
-val all_slow_delay : Standby_cells.Library.t -> Standby_netlist.Netlist.t -> float
-(** {!slowest_delay} on a fresh workspace. *)
 
 val budget_for_penalty :
   Standby_cells.Library.t -> Standby_netlist.Netlist.t -> penalty:float -> float

@@ -459,15 +459,17 @@ let test_greedy_rejects_slew_only_violation () =
    repeat bit-for-bit, so the bounds need no allowance for host noise.
    Greedy takes each gate from its order at most once; at every point
    here all of them qualify, so its heap pops equal the gate count
-   (ratio 2.0), and its worklist pops (387,630 / 872,157 / 1,967,977,
-   about 78 / 87 / 98 per gate) give ratios of 2.25 and 2.26.
+   (ratio 2.0), and its worklist pops (about 78 / 87 / 98 per gate) give
+   ratios of 2.25 and 2.26.
    Heuristic 1's gate tree confirms every try with [Sta.meets_budget],
    which reads a count and examines no output, so its worklist pops
-   (318,505 / 710,629 / 1,773,169, ratios 2.23 and 2.50) are all the
-   timing work it does.
-   Cost per pop (cache effects at scale) is left to the wall time of the
-   greedy-20k benchmark workload.  The 300 s budget is a ceiling only;
-   every point finishes long before it. *)
+   (ratios 2.23 and 2.50) are all the timing work it does.
+   The worklist pops are also pinned exactly: they count the nodes the
+   incremental STA settles, so a change to its worklists that keeps the
+   answers must also keep these.
+   Cost per pop (cache effects at scale) is measured by
+   [tools/pop_cost.exe] and the greedy-20k benchmark workload.  The
+   300 s budget is a ceiling only; every point finishes long before it. *)
 
 let worklist_pops = Standby_telemetry.Metrics.(counter default "sta.worklist_pops")
 
@@ -491,10 +493,15 @@ let scaling_point method_ (gates, net) =
       r.Optimizer.method_name gates heap;
   (sta, heap, r)
 
-(* [heap_bound] is [None] for a method that pushes no greedy heap. *)
-let check_scaling nets method_ ~heap_bound =
+(* [heap_bound] is [None] for a method that pushes no greedy heap;
+   [pops] are the exact worklist pops at each point. *)
+let check_scaling nets method_ ~heap_bound ~pops =
   let name = Optimizer.method_name method_ in
   let points = List.map (scaling_point method_) nets in
+  List.iter2
+    (fun ((gates, _), (sta, _, _)) expected ->
+      check Alcotest.int (Printf.sprintf "%s %d worklist pops" name gates) expected sta)
+    (List.combine nets points) pops;
   (* The premise of gating on counts: they repeat exactly. *)
   let sta5k, heap5k, r5k = List.hd points in
   let sta5k', heap5k', r5k' = scaling_point method_ (List.hd nets) in
@@ -524,8 +531,10 @@ let check_scaling nets method_ ~heap_bound =
 
 let test_scaling_near_linear () =
   let nets = List.map (fun g -> (g, scaling_net g)) [ 5_000; 10_000; 20_000 ] in
-  check_scaling nets (Optimizer.Greedy { time_budget_s = 300.0 }) ~heap_bound:(Some 2.5);
+  check_scaling nets (Optimizer.Greedy { time_budget_s = 300.0 }) ~heap_bound:(Some 2.5)
+    ~pops:[ 387_630; 872_157; 1_967_977 ];
   check_scaling nets Optimizer.Heuristic_1 ~heap_bound:None
+    ~pops:[ 318_505; 710_629; 1_773_169 ]
 
 (* ---------------------------- Search stats ------------------------- *)
 

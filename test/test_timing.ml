@@ -59,15 +59,15 @@ let test_all_slow_roughly_doubles () =
   (* The paper: replacing every device with its slowest version nearly
      doubles the delay. *)
   let net = random_circuit 3 in
-  let fast = Sta.all_fast_delay lib net in
-  let slow = Sta.all_slow_delay lib net in
+  let fast = Sta.circuit_delay (Sta.create lib net) in
+  let slow = Sta.slowest_delay (Sta.create lib net) in
   let ratio = slow /. fast in
   if ratio < 1.5 || ratio > 2.2 then Alcotest.failf "slow/fast ratio %.2f" ratio
 
 let test_budget_interpolation () =
   let net = random_circuit 4 in
-  let fast = Sta.all_fast_delay lib net in
-  let slow = Sta.all_slow_delay lib net in
+  let fast = Sta.circuit_delay (Sta.create lib net) in
+  let slow = Sta.slowest_delay (Sta.create lib net) in
   let b = Sta.budget_for_penalty lib net ~penalty:0.25 in
   check (Alcotest.float 1e-9) "interpolation" (fast +. (0.25 *. (slow -. fast))) b
 
@@ -111,21 +111,24 @@ let test_update_from_equals_full_update =
 (* A chain of [steps] random assignments on [net], each followed by the
    worklist-based incremental update, must leave every arrival, slew and
    required time equal to a fresh STA given the same final assignment
-   and one full update. *)
-let walk_matches_fresh net ~walk ~steps =
+   and one full update.  With [from_inputs], every step also re-times
+   the cone of one random primary input, whose arrival is fixed. *)
+let walk_matches_fresh ?(from_inputs = false) net ~walk ~steps =
   let rng = Prng.create ~seed:walk in
   let sta = Sta.create lib net in
   Sta.set_budget sta (Sta.budget_for_penalty lib net ~penalty:0.1);
   let gates = ref [] in
   Netlist.iter_gates net (fun id kind _ -> gates := (id, kind) :: !gates);
   let arr = Array.of_list !gates in
+  let inputs = Netlist.inputs net in
   for _ = 1 to steps do
     let id, kind = arr.(Prng.int rng ~bound:(Array.length arr)) in
     let state = Prng.int rng ~bound:(Gate_kind.state_count kind) in
     let opts = Library.options lib kind ~state in
     let o = opts.(Prng.int rng ~bound:(Array.length opts)) in
     Sta.assign sta id ~version:o.Version.version ~perm:o.Version.perm;
-    Sta.update_from sta id
+    Sta.update_from sta id;
+    if from_inputs then Sta.update_from sta inputs.(Prng.int rng ~bound:(Array.length inputs))
   done;
   let fresh = Sta.create lib net in
   Sta.set_budget fresh (Sta.budget sta);
@@ -153,15 +156,18 @@ let walk_matches_fresh net ~walk ~steps =
 (* Small circuits with short walks, and a 2,000-gate netlist whose deep
    cones carry slew moves far from the changed gate: a backward pass
    seeded only at the changed gate passes the first and fails the
-   second. *)
+   second.  A 1,000-gate netlist with a window of 8 is about 290 levels
+   deep, so a cone crosses empty level buckets on its way down; its
+   walk also starts updates at primary inputs (level 0, no fan-in). *)
 let test_update_from_sequence_matches_fresh =
   QCheck.Test.make ~count:25 ~name:"incremental update sequence matches fresh STA"
     QCheck.(make Gen.(pair (int_range 0 500) (int_range 0 1_000_000)))
     (fun (seed, walk) ->
+      let generate = Standby_circuits.Random_logic.generate ~seed in
       walk_matches_fresh (random_circuit seed) ~walk ~steps:30
-      && walk_matches_fresh
-           (Standby_circuits.Random_logic.generate ~gates:2000 ~inputs:20 ~window:100 ~seed
-              ())
+      && walk_matches_fresh (generate ~gates:2000 ~inputs:20 ~window:100 ()) ~walk ~steps:200
+      && walk_matches_fresh ~from_inputs:true
+           (generate ~gates:1000 ~inputs:8 ~window:8 ())
            ~walk ~steps:200)
 
 let test_candidate_feasible_necessary =
