@@ -1,4 +1,5 @@
 module Netlist = Standby_netlist.Netlist
+module Gate_kind = Standby_netlist.Gate_kind
 module Library = Standby_cells.Library
 module Version = Standby_cells.Version
 module Bitsim = Standby_sim.Bitsim
@@ -43,100 +44,73 @@ let fast_vector lib net vector =
 (* ------------------------------------------------------------------ *)
 (* Packed random-vector averages.
 
-   Vectors are processed in 63-lane blocks; each block's input words
-   come from its own PRNG stream (seed + block), so the vector set and
-   every per-block partial sum are pure functions of (seed, block).
-   Blocks are distributed over worker domains in contiguous ranges, each
-   worker owning a private Bitsim workspace and writing its per-block
-   partials into disjoint slots; the final reduction always runs
-   sequentially in block order.  Result: bit-identical breakdowns for
-   any [jobs]. *)
+   One pass counts, for every gate, the lanes in each input state over
+   the whole vector set (Bitsim's exact integer totals).  Blocks are
+   dealt to worker domains in contiguous ranges, each worker counting
+   into a private Bitsim, and the workers merge by integer addition: the
+   counts are identical for any [jobs].  A reduction then weighs the
+   counts against the library's per-state tables, once, in gate and
+   state order. *)
 
-(* Per-node-id leakage tables (state -> amperes), resolved once per call
-   so the per-block accumulation loop does no library lookups. *)
-let fast_tables lib net =
-  let n = Netlist.node_count net in
-  let leak = Array.make n [||] and sub = Array.make n [||] and gat = Array.make n [||] in
-  Netlist.iter_gates net (fun id kind _ ->
-      let info = Library.info lib kind in
-      leak.(id) <- info.Library.fast_leakage;
-      sub.(id) <- info.Library.fast_isub;
-      gat.(id) <- info.Library.fast_igate);
-  (leak, sub, gat)
-
-let slowest_tables lib net =
-  let n = Netlist.node_count net in
-  let zero = Array.make 16 0.0 in
-  let leak = Array.make n [||] and sub = Array.make n zero and gat = Array.make n zero in
-  Netlist.iter_gates net (fun id kind _ ->
-      leak.(id) <- (Library.info lib kind).Library.slowest_leakage);
-  (leak, sub, gat)
-
-let packed_average ~vectors ~jobs ~seed net (leak, sub, gat) =
+let random_state_counts ?(vectors = 10_000) ?(jobs = 1) ~seed net =
   if vectors <= 0 then invalid_arg "Evaluate: vectors must be positive";
-  let n_blocks = Bitsim.block_count ~vectors in
-  let block_total = Array.make n_blocks 0.0 in
-  let block_isub = Array.make n_blocks 0.0 in
-  let block_igate = Array.make n_blocks 0.0 in
-  let run_range bsim lo hi =
-    (* One block's (total, isub, igate) sums, accumulated in a float
-       array so the visitor below updates them unboxed. *)
-    let acc = Array.make 3 0.0 in
-    let visit id _ counts =
-      let l = leak.(id) and s = sub.(id) and g = gat.(id) in
-      for st = 0 to Array.length l - 1 do
-        let c = counts.(st) in
+  Telemetry.span "bitsim.random_average" (fun () ->
+      let n_blocks = Bitsim.block_count ~vectors in
+      let jobs = max 1 (min jobs n_blocks) in
+      let count_range w =
+        let bsim = Bitsim.create net in
+        Bitsim.count_blocks bsim ~seed ~vectors ~first:(w * n_blocks / jobs)
+          ~last:((w + 1) * n_blocks / jobs);
+        bsim
+      in
+      let parts =
+        if jobs = 1 then [| count_range 0 |]
+        else Pool.map ~workers:jobs count_range (Array.init jobs Fun.id)
+      in
+      for w = 1 to jobs - 1 do
+        Bitsim.merge ~into:parts.(0) parts.(w)
+      done;
+      Metrics.add m_bitsim_blocks n_blocks;
+      Metrics.add m_bitsim_words (n_blocks * Netlist.gate_count net);
+      Telemetry.add_fields
+        [ ("vectors", Json.Int vectors); ("blocks", Json.Int n_blocks); ("jobs", Json.Int jobs) ];
+      Bitsim.counts parts.(0))
+
+(* Σ count × table over every (gate, state), in gate order and state
+   order, divided by the vector count.  [leak], [sub] and [gat] give a
+   cell kind's per-state tables in amperes. *)
+let reduce net counts ~leak ~sub ~gat =
+  let acc = Array.make 3 0.0 in
+  Netlist.iter_gates net (fun id kind _ ->
+      let l = leak kind and s = sub kind and g = gat kind in
+      for st = 0 to Gate_kind.state_count kind - 1 do
+        let c = Bitsim.count counts id st in
         if c <> 0 then begin
           let fc = float_of_int c in
           acc.(0) <- acc.(0) +. (fc *. l.(st));
           acc.(1) <- acc.(1) +. (fc *. s.(st));
           acc.(2) <- acc.(2) +. (fc *. g.(st))
         end
-      done
-    in
-    for b = lo to hi - 1 do
-      Bitsim.load_block bsim ~seed ~block:b;
-      Bitsim.eval bsim;
-      Array.fill acc 0 3 0.0;
-      Bitsim.iter_state_counts bsim ~lanes:(Bitsim.lanes_in_block ~vectors ~block:b) visit;
-      block_total.(b) <- acc.(0);
-      block_isub.(b) <- acc.(1);
-      block_igate.(b) <- acc.(2)
-    done
-  in
-  let jobs = max 1 (min jobs n_blocks) in
-  if jobs = 1 then run_range (Bitsim.create net) 0 n_blocks
-  else begin
-    (* Contiguous ranges, one per worker; slots are disjoint so the
-       workers never write the same array cell. *)
-    let ranges =
-      Array.init jobs (fun w -> (w * n_blocks / jobs, (w + 1) * n_blocks / jobs))
-    in
-    ignore
-      (Pool.map ~workers:jobs
-         (fun (lo, hi) -> run_range (Bitsim.create net) lo hi)
-         ranges)
-  end;
-  Metrics.add m_bitsim_blocks n_blocks;
-  Metrics.add m_bitsim_words (n_blocks * Netlist.gate_count net);
-  Telemetry.add_fields
-    [ ("vectors", Json.Int vectors); ("blocks", Json.Int n_blocks); ("jobs", Json.Int jobs) ];
-  let t = ref 0.0 and i = ref 0.0 and g = ref 0.0 in
-  for b = 0 to n_blocks - 1 do
-    t := !t +. block_total.(b);
-    i := !i +. block_isub.(b);
-    g := !g +. block_igate.(b)
-  done;
-  let k = float_of_int vectors in
-  { total = !t /. k; isub = !i /. k; igate = !g /. k }
+      done);
+  let k = float_of_int (Bitsim.vectors counts) in
+  { total = acc.(0) /. k; isub = acc.(1) /. k; igate = acc.(2) /. k }
 
-let random_vector_average ?(vectors = 10_000) ?(jobs = 1) ~seed lib net =
-  Telemetry.span "bitsim.random_average" (fun () ->
-      packed_average ~vectors ~jobs ~seed net (fast_tables lib net))
+let fast_average lib net counts =
+  let info kind = Library.info lib kind in
+  reduce net counts
+    ~leak:(fun kind -> (info kind).Library.fast_leakage)
+    ~sub:(fun kind -> (info kind).Library.fast_isub)
+    ~gat:(fun kind -> (info kind).Library.fast_igate)
 
-let slowest_random_average ?(vectors = 10_000) ?(jobs = 1) ~seed lib net =
-  Telemetry.span "bitsim.slowest_average" (fun () ->
-      packed_average ~vectors ~jobs ~seed net (slowest_tables lib net))
+let slowest_average lib net counts =
+  let zero = Array.make 16 0.0 in
+  reduce net counts
+    ~leak:(fun kind -> (Library.info lib kind).Library.slowest_leakage)
+    ~sub:(fun _ -> zero)
+    ~gat:(fun _ -> zero)
+
+let random_vector_average ?vectors ?jobs ~seed lib net =
+  fast_average lib net (random_state_counts ?vectors ?jobs ~seed net)
 
 (* The pre-packed evaluation path, kept as the oracle the packed engine
    is benchmarked and property-tested against: the same (seed, block)

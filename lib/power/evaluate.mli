@@ -5,14 +5,17 @@
     fast-library leakage of a vector and the average over random vectors
     (the paper's "no technique" reference column).
 
-    The random-vector averages run on {!Standby_sim.Bitsim}: vectors are
-    simulated 63 per pass as bit lanes of a native [int], and the
-    leakage sum is taken per gate as
-    [Σ_state popcount(mask_state) × table.(state)] instead of a scalar
-    walk per vector.  Vectors come in fixed 63-lane blocks, each block
-    drawing from its own PRNG stream ([seed + block]); per-block partial
-    sums are reduced in block order, so results are bit-identical for
-    any [jobs] value. *)
+    The random-vector averages run on {!Standby_sim.Bitsim}: one pass
+    simulates the vectors 63 per word and keeps exact integer totals,
+    from which every gate's lane count per input state follows
+    ({!random_state_counts}).  Vectors come in fixed 63-lane blocks,
+    each block drawing from its own PRNG stream ([seed + block]); block
+    ranges run on worker domains and merge by integer addition, so the
+    counts, and every average reduced from them, are bit-identical for
+    any [jobs].  A reduction weighs the counts against the library's
+    per-state tables once, in gate and state order: the fast tables give
+    the reference ({!fast_average}), the all-slow tables the 100 %-penalty
+    fallback ({!slowest_average}), from the same counts. *)
 
 type breakdown = {
   total : float;  (** Amperes. *)
@@ -29,6 +32,26 @@ val fast_vector :
 (** Leakage with the given sleep vector and every gate fast (the
     state-assignment-only figure for that vector). *)
 
+val random_state_counts :
+  ?vectors:int -> ?jobs:int -> seed:int -> Standby_netlist.Netlist.t -> Standby_sim.Bitsim.counts
+(** Per-(gate, input state) lane counts over random input vectors
+    (default 10_000, the paper's setting), on the packed engine.  [jobs]
+    > 1 spreads the vector blocks over that many worker domains; the
+    counts are identical to [jobs = 1].  Traced as the
+    [bitsim.random_average] span.
+    @raise Invalid_argument if [vectors <= 0]. *)
+
+val fast_average :
+  Standby_cells.Library.t -> Standby_netlist.Netlist.t -> Standby_sim.Bitsim.counts -> breakdown
+(** Mean fast-library leakage over the counted vectors. *)
+
+val slowest_average :
+  Standby_cells.Library.t -> Standby_netlist.Netlist.t -> Standby_sim.Bitsim.counts -> breakdown
+(** Mean leakage over the counted vectors with every gate replaced by
+    its all-high-Vt/all-thick fallback (the Figure 5 100 %-penalty
+    reference).  The breakdown reports the total only ([isub]/[igate]
+    are 0). *)
+
 val random_vector_average :
   ?vectors:int ->
   ?jobs:int ->
@@ -36,10 +59,8 @@ val random_vector_average :
   Standby_cells.Library.t ->
   Standby_netlist.Netlist.t ->
   breakdown
-(** Mean fast-library leakage over random input vectors (default
-    10_000, the paper's setting), on the packed engine.  [jobs] > 1
-    spreads the vector blocks over that many worker domains; the result
-    is bit-identical to [jobs = 1].
+(** [fast_average] of [random_state_counts]: the mean fast-library
+    leakage over random input vectors.
     @raise Invalid_argument if [vectors <= 0]. *)
 
 val random_vector_average_scalar :
@@ -53,18 +74,6 @@ val random_vector_average_scalar :
     at a time through {!Standby_sim.Simulator.eval}.  Kept as the oracle
     the packed engine is tested and benchmarked against; agreement is
     within float-summation reassociation (≤ 1e-9 relative). *)
-
-val slowest_random_average :
-  ?vectors:int ->
-  ?jobs:int ->
-  seed:int ->
-  Standby_cells.Library.t ->
-  Standby_netlist.Netlist.t ->
-  breakdown
-(** Mean leakage over random vectors with every gate replaced by its
-    all-high-Vt/all-thick fallback (the Figure 5 100 %-penalty
-    reference), on the packed engine.  The breakdown reports the total
-    only ([isub]/[igate] are 0). *)
 
 val slowest_vector :
   Standby_cells.Library.t -> Standby_netlist.Netlist.t -> bool array -> breakdown

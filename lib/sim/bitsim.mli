@@ -5,29 +5,25 @@
     vectors ("lanes"); a gate evaluates all lanes at once with the
     bitwise form of its function (NAND is [lnot (a land b)], and so on),
     so one topological pass costs one machine word per gate instead of
-    one array walk per gate per vector.  Nothing allocates in steady
-    state: the word array, the state-mask scratch and the popcount table
-    are all created once in {!create}.
+    one array walk per gate per vector.
 
-    The intended consumer is the random-vector leakage baseline
+    The intended consumer is the random-vector leakage reference
     ({!Standby_power.Evaluate.random_vector_average}): vectors are
     processed in fixed {e blocks} of {!lanes}, each block drawing its
     input words from its own PRNG stream derived as [seed + block], so
-    block [b]'s 63 vectors are a pure function of [(seed, b)].  That is
-    what makes block-level parallelism deterministic — any scheduling of
-    blocks over worker domains reproduces the same lanes, and a
-    fixed-order reduction reproduces the same sums — and what lets a
-    scalar oracle re-derive the exact same vector set lane by lane
+    block [b]'s 63 vectors are a pure function of [(seed, b)], and a
+    scalar oracle can re-derive the exact same vector set lane by lane
     ({!lane_vector}).
 
-    Leakage accumulation never looks at individual lanes.
-    {!iter_state_counts} hands every gate a histogram [counts] with
-    [counts.(s)] = number of lanes whose packed input state (fanin 0 =
-    most significant bit, the {!Standby_netlist.Gate_kind} convention)
-    equals [s]; the caller reduces it against its per-state tables as
-    [Σ_s counts.(s) × table.(s)].  The masks for all [2^arity] states of
-    a gate are built by binary splitting — [2^(k+1)] bitwise operations
-    per gate, not [k·2^k]. *)
+    Leakage needs each gate's per-state lane counts, and those come from
+    exact integer totals kept over the whole vector set.  {!count_blocks}
+    adds, per block, the popcount of every node's word and of the AND of
+    every fan-in subset of two or more pins of every gate (N(T) for pin
+    subset T); {!counts} recovers the per-state counts once, at the end,
+    by inclusion–exclusion: [c(P) = Σ_{T ⊇ P} (-1)^{|T \ P|} N(T)] with
+    [N(∅)] the vector count.  Workers that count disjoint block ranges
+    {!merge} by integer addition, so the counts are identical for any
+    split.  Nothing allocates per block. *)
 
 type t
 
@@ -37,7 +33,7 @@ val lanes : int
     never compared arithmetically). *)
 
 val create : Standby_netlist.Netlist.t -> t
-(** Preallocates the word array and all scratch storage. *)
+(** Preallocates the word array and the totals, all zero. *)
 
 (** {1 Block geometry}
 
@@ -62,20 +58,21 @@ val input_word : t -> int -> int
 
 val load_block : t -> seed:int -> block:int -> unit
 (** Packed PRNG generation: fill every input word from the block's own
-    SplitMix64 stream ([Prng.create ~seed:(seed + block)]), one raw
-    64-bit draw per input (low 63 bits become the lanes).  Lanes are a
-    pure function of [(seed, block)] — independent of which domain runs
-    the block.  @raise Invalid_argument if [block < 0]. *)
+    SplitMix64 stream (draw [i] of [Prng.create ~seed:(seed + block)]
+    for input [i], via {!Standby_util.Prng.nth_bits}; the low 63 bits
+    become the lanes).  Lanes are a pure function of [(seed, block)] —
+    independent of which domain runs the block.  Allocation-free.
+    @raise Invalid_argument if [block < 0]. *)
 
 val eval : t -> unit
 (** One topological pass: compute every gate's packed word from the
-    current input words.  Bits above the valid lane count of a partial
-    block carry garbage; they are masked out at accumulation time, never
-    here. *)
+    current input words, with the same per-kind word function as
+    {!count_blocks}.  Bits above the valid lane count of a partial block
+    carry garbage. *)
 
 val words_evaluated : t -> int
-(** Cumulative gate words computed by {!eval} over this instance's life
-    — the "sim.bitsim_words" telemetry counter source. *)
+(** Cumulative gate words computed by {!eval} and {!count_blocks} over
+    this instance's life. *)
 
 (** {1 Extraction} *)
 
@@ -88,15 +85,34 @@ val lane_values : t -> lane:int -> bool array
 (** Per-node values of one lane after {!eval}.  Allocates (test/oracle
     path only). *)
 
-val iter_state_counts :
-  t -> lanes:int -> (int -> Standby_netlist.Gate_kind.t -> int array -> unit) -> unit
-(** [iter_state_counts t ~lanes f] visits every gate in topological
-    order and calls [f id kind counts], where [counts.(s)] is the
-    number of the low [lanes] lanes whose packed input state is [s]
-    (valid for [s < Gate_kind.state_count kind]).  The [counts] array is
-    scratch storage reused across callbacks — read it inside [f], do not
-    keep it.  Allocation-free. *)
+(** {1 State counts} *)
+
+val count_blocks : t -> seed:int -> vectors:int -> first:int -> last:int -> unit
+(** Load, evaluate and count blocks [first .. last - 1] of the
+    [vectors]-vector set, adding their subset totals to [t]'s (only the
+    valid lanes of a partial final block count).  Allocation-free.
+    @raise Invalid_argument if the range is not within
+    [0 .. block_count ~vectors]. *)
+
+val merge : into:t -> t -> unit
+(** Add [t]'s totals to [into]'s.  @raise Invalid_argument if the two
+    were created over different netlists. *)
+
+type counts
+(** Exact per-(gate, input state) lane counts. *)
+
+val counts : t -> counts
+(** The per-state counts of every gate over the lanes counted so far,
+    by inclusion–exclusion over the subset totals.  [t] is unchanged. *)
+
+val vectors : counts -> int
+(** Number of lanes counted. *)
+
+val count : counts -> int -> int -> int
+(** [count c id state] is the number of counted lanes where gate [id]'s
+    packed input state (fanin 0 = most significant bit, the
+    {!Standby_netlist.Gate_kind} convention) is [state]. *)
 
 val popcount : int -> int
 (** Number of set bits in the 63-bit two's-complement representation
-    (so [popcount (-1) = 63]).  Table-driven, allocation-free. *)
+    (so [popcount (-1) = 63]).  Allocation-free. *)

@@ -7,7 +7,7 @@ let create ~seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
 (* SplitMix64 output function (Steele, Lea, Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -15,6 +15,12 @@ let mix z =
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
+
+(* SplitMix64 is counter based: draw [n] of a fresh stream is the mix of
+   [seed + (n + 1) * gamma], so it needs no state and, with [mix]
+   inlined, no boxed [int64]. *)
+let nth_bits ~seed n =
+  Int64.to_int (mix (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (n + 1)) golden_gamma)))
 
 let split t =
   let s = next_int64 t in

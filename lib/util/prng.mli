@@ -24,6 +24,11 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val nth_bits : seed:int -> int -> int
+(** [nth_bits ~seed n] is the low 63 bits of draw [n] (from 0) of
+    [create ~seed]: [Int64.to_int] of its [(n + 1)]th {!next_int64}.
+    Computed directly, without a generator, and allocates nothing. *)
+
 val int : t -> bound:int -> int
 (** [int t ~bound] is uniform in [\[0, bound)].  @raise Invalid_argument
     if [bound <= 0]. *)

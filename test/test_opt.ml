@@ -584,7 +584,7 @@ let test_pinned_answers () =
       ("5k greedy", five_k, greedy, "920919de03421ce09b1db4a55f89e9bc");
     ];
   let b = Evaluate.random_vector_average ~vectors:2000 ~jobs:2 ~seed:11 lib five_k in
-  check Alcotest.string "5k random average" "800d117f5e4cd3287a793c3892a5819d"
+  check Alcotest.string "5k random average" "9522b888f80679ead926f9d396329625"
     (md5 (Printf.sprintf "%h %h %h" b.Evaluate.total b.Evaluate.isub b.Evaluate.igate))
 
 let () =

@@ -111,10 +111,39 @@ let test_packed_jobs_deterministic () =
     && a.Evaluate.isub = b.Evaluate.isub
     && a.Evaluate.igate = b.Evaluate.igate)
 
+(* Per-(gate, state) counts of a netlist, in gate and state order. *)
+let count_array net counts =
+  let cells = ref [] in
+  Netlist.iter_gates net (fun id kind _ ->
+      for s = 0 to Gate_kind.state_count kind - 1 do
+        cells := Bitsim.count counts id s :: !cells
+      done);
+  Array.of_list (List.rev !cells)
+
+let test_state_counts_jobs_identical () =
+  let net = random_circuit 15 in
+  let at jobs = count_array net (Evaluate.random_state_counts ~vectors:1000 ~jobs ~seed:9 net) in
+  check Alcotest.(array int) "jobs=1 and jobs=3 counts" (at 1) (at 3)
+
+let test_state_counts_no_block_allocation () =
+  (* No allocation per block: the pass costs the same minor words at 10
+     blocks as at 100. *)
+  let net = Standby_circuits.Benchmarks.circuit "c880" in
+  let words vectors =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Evaluate.random_state_counts ~vectors ~jobs:1 ~seed:3 net));
+    Gc.minor_words () -. before
+  in
+  ignore (words 630);
+  check (Alcotest.float 0.0) "630 vs 6300 vectors" (words 630) (words 6300)
+
 let test_slowest_average_below_fast () =
   let net = random_circuit 14 in
-  let slow = Evaluate.slowest_random_average ~vectors:200 ~seed:5 lib net in
-  let fast = Evaluate.random_vector_average ~vectors:200 ~seed:5 lib net in
+  let counts = Evaluate.random_state_counts ~vectors:200 ~seed:5 net in
+  let slow = Evaluate.slowest_average lib net counts in
+  let fast = Evaluate.fast_average lib net counts in
+  check Alcotest.bool "fast reduction is the reference" true
+    (fast = Evaluate.random_vector_average ~vectors:200 ~seed:5 lib net);
   check Alcotest.bool "all-slow average leaks less" true
     (slow.Evaluate.total < fast.Evaluate.total);
   check (Alcotest.float 0.0) "isub reported as zero" 0.0 slow.Evaluate.isub;
@@ -235,6 +264,8 @@ let () =
           QCheck_alcotest.to_alcotest test_packed_matches_scalar_oracle;
           quick "partial tail block" test_packed_partial_tail_block;
           quick "jobs determinism" test_packed_jobs_deterministic;
+          quick "state counts jobs=1 = jobs=3" test_state_counts_jobs_identical;
+          quick "no per-block allocation" test_state_counts_no_block_allocation;
           quick "slowest average" test_slowest_average_below_fast;
         ] );
       ( "overhead",

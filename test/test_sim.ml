@@ -298,33 +298,66 @@ let test_bitsim_matches_scalar_iscas () =
         (lanes_match_scalar (Standby_circuits.Benchmarks.circuit name) 0x5eed 0))
     Standby_circuits.Benchmarks.names
 
-let test_bitsim_state_counts =
-  (* iter_state_counts histograms vs a scalar per-lane gate_states walk,
-     including partial final lanes. *)
-  QCheck.Test.make ~count:50 ~name:"state counts equal scalar histogram"
-    QCheck.(make Gen.(triple (int_range 0 1000) (int_range 0 20) (int_range 1 63)))
-    (fun (seed, block, valid) ->
-      let net = random_circuit seed in
+(* One gate of each of the nine kinds, with fan-ins that mix primary
+   inputs and correlated gate outputs and one pin tied twice. *)
+let every_kind_circuit () =
+  let b = Netlist.Builder.create ~name:"every_kind" () in
+  let i = Array.init 4 (fun _ -> Netlist.Builder.add_input b) in
+  let gate kind fanin = Netlist.Builder.add_gate b kind fanin in
+  let inv = gate Gate_kind.Inv [| i.(0) |] in
+  let nand2 = gate Gate_kind.Nand2 [| i.(0); inv |] in
+  let nand3 = gate Gate_kind.Nand3 [| i.(1); i.(2); nand2 |] in
+  let nand4 = gate Gate_kind.Nand4 [| i.(0); i.(1); i.(2); i.(3) |] in
+  let nor2 = gate Gate_kind.Nor2 [| nand3; nand3 |] in
+  let nor3 = gate Gate_kind.Nor3 [| i.(3); nand4; i.(1) |] in
+  let nor4 = gate Gate_kind.Nor4 [| nor2; nor3; i.(2); i.(0) |] in
+  let aoi = gate Gate_kind.Aoi21 [| nor4; i.(3); nand4 |] in
+  let oai = gate Gate_kind.Oai21 [| i.(1); aoi; nor3 |] in
+  Netlist.Builder.mark_output b oai;
+  Netlist.Builder.mark_output b nand2;
+  Netlist.Builder.finish b
+
+(* The counting pass against a lane-by-lane scalar walk: exact integer
+   equality of every (gate, state) count, over vector counts with a
+   one-lane set, partial tails, one exact block and several blocks. *)
+let state_counts_match_scalar net seed =
+  List.for_all
+    (fun vectors ->
       let bsim = Bitsim.create net in
-      Bitsim.load_block bsim ~seed:7 ~block;
-      Bitsim.eval bsim;
-      (* Scalar reference: histogram of gate states over the valid lanes. *)
-      let expected = Hashtbl.create 64 in
-      for lane = 0 to valid - 1 do
-        let values = Simulator.eval net (Bitsim.lane_vector bsim ~lane) in
-        let states = Simulator.gate_states net values in
-        Netlist.iter_gates net (fun id _ _ ->
-            let key = (id, states.(id)) in
-            Hashtbl.replace expected key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt expected key)))
+      let n_blocks = Bitsim.block_count ~vectors in
+      Bitsim.count_blocks bsim ~seed ~vectors ~first:0 ~last:n_blocks;
+      let counts = Bitsim.counts bsim in
+      let expected = Array.make_matrix (Netlist.node_count net) 16 0 in
+      let oracle = Bitsim.create net in
+      for block = 0 to n_blocks - 1 do
+        Bitsim.load_block oracle ~seed ~block;
+        for lane = 0 to Bitsim.lanes_in_block ~vectors ~block - 1 do
+          let values = Simulator.eval net (Bitsim.lane_vector oracle ~lane) in
+          let states = Simulator.gate_states net values in
+          Netlist.iter_gates net (fun id _ _ ->
+              expected.(id).(states.(id)) <- expected.(id).(states.(id)) + 1)
+        done
       done;
-      let ok = ref true in
-      Bitsim.iter_state_counts bsim ~lanes:valid (fun id kind counts ->
+      let ok = ref (Bitsim.vectors counts = vectors) in
+      Netlist.iter_gates net (fun id kind _ ->
           for s = 0 to Gate_kind.state_count kind - 1 do
-            let want = Option.value ~default:0 (Hashtbl.find_opt expected (id, s)) in
-            if counts.(s) <> want then ok := false
+            if Bitsim.count counts id s <> expected.(id).(s) then ok := false
           done);
       !ok)
+    [ 1; 62; 63; 64; 200 ]
+
+let test_bitsim_state_counts =
+  QCheck.Test.make ~count:20 ~name:"state counts equal scalar histogram"
+    QCheck.(make Gen.(pair (int_range 0 1000) (int_range 0 1000)))
+    (fun (net_seed, seed) -> state_counts_match_scalar (random_circuit net_seed) seed)
+
+let test_bitsim_state_counts_every_kind () =
+  let net = every_kind_circuit () in
+  check Alcotest.int "nine kinds" 9 (List.length (Netlist.gate_histogram net));
+  List.iter
+    (fun seed ->
+      check Alcotest.bool (Printf.sprintf "seed %d" seed) true (state_counts_match_scalar net seed))
+    [ 0; 7; 0x5eed ]
 
 let test_bitsim_deterministic_load () =
   (* Lanes are a pure function of (seed, block): reloading reproduces the
@@ -384,6 +417,7 @@ let () =
           QCheck_alcotest.to_alcotest test_bitsim_matches_scalar_random;
           quick "lanes match scalar on ISCAS" test_bitsim_matches_scalar_iscas;
           QCheck_alcotest.to_alcotest test_bitsim_state_counts;
+          quick "state counts on every kind" test_bitsim_state_counts_every_kind;
           quick "deterministic load" test_bitsim_deterministic_load;
           quick "words evaluated" test_bitsim_words_evaluated;
         ] );

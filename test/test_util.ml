@@ -40,6 +40,23 @@ let test_prng_split () =
   let xa = Prng.next_int64 a and xb = Prng.next_int64 b in
   check Alcotest.bool "split streams differ" true (xa <> xb)
 
+let test_prng_nth_bits () =
+  (* The stateless draw is the stream's own draw, without allocating. *)
+  List.iter
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      for n = 0 to 99 do
+        check Alcotest.int "draw n" (Int64.to_int (Prng.next_int64 rng)) (Prng.nth_bits ~seed n)
+      done)
+    [ 0; 11; -5; max_int ];
+  let before = Gc.minor_words () in
+  let acc = ref 0 in
+  for n = 0 to 999 do
+    acc := !acc lxor Prng.nth_bits ~seed:7 n
+  done;
+  ignore (Sys.opaque_identity !acc);
+  check Alcotest.bool "allocates nothing" true (Gc.minor_words () -. before < 16.0)
+
 let test_prng_int_bounds () =
   let rng = Prng.create ~seed:5 in
   for _ = 1 to 10_000 do
@@ -137,6 +154,7 @@ let () =
           quick "seed sensitivity" test_prng_seed_sensitivity;
           quick "copy" test_prng_copy_independent;
           quick "split" test_prng_split;
+          quick "nth bits" test_prng_nth_bits;
           quick "int bounds" test_prng_int_bounds;
           quick "int invalid" test_prng_int_invalid;
           quick "float bounds" test_prng_float_bounds;
