@@ -41,45 +41,31 @@ let seed_vectors ~seed ~count inputs =
    of each gate's cheapest option in its resulting state.  One linear
    simulation per candidate — the "fast state search" of the seeding
    step. *)
-let vector_bound net min_leak vector =
+let vector_bound lib net vector =
   let values = Simulator.eval net vector in
   let states = Simulator.gate_states net values in
   let total = ref 0.0 in
   Netlist.iter_gates net (fun id kind _ ->
-      total := !total +. min_leak.(Gate_kind.index kind).(states.(id)));
+      total := !total +. (Library.info lib kind).Library.min_leakage.(states.(id)));
   (!total, values, states)
 
-let min_leak_table lib =
-  Array.of_list
-    (List.map (fun kind -> (Library.info lib kind).Library.min_leakage) Gate_kind.all)
-
-(* The seeding step on its own: scan the candidate sleep vectors and
-   return the one with the smallest unconstrained leakage bound along
-   with its simulated node values and gate states.  [candidates]
-   replaces the generated vectors when given (the partition path feeds
-   the admissible region vectors through here); an empty list falls
-   back to the generated set so the scan always returns a vector. *)
-let seed_scan ?candidates ~stats lib net =
-  let min_leak = min_leak_table lib in
+let seed ?candidates ~stats lib net =
   let vectors =
     match candidates with
     | Some (_ :: _ as l) -> l
     | Some [] | None -> seed_vectors ~seed:0 ~count:8 (Netlist.input_count net)
   in
-  let best = ref infinity in
-  let best_vec = ref [||] and best_values = ref [||] and best_states = ref [||] in
+  let best = ref (infinity, [||], [||], [||]) in
   List.iter
     (fun v ->
-      let bound, values, states = vector_bound net min_leak v in
+      let bound, values, states = vector_bound lib net v in
       stats.Search_stats.state_nodes <- stats.Search_stats.state_nodes + 1;
-      if bound < !best then begin
-        best := bound;
-        best_vec := v;
-        best_values := values;
-        best_states := states
-      end)
+      let best_bound, _, _, _ = !best in
+      if bound < best_bound then best := (bound, v, values, states))
     vectors;
-  (!best_vec, !best_values, !best_states)
+  let _, vector, values, states = !best in
+  let { Gate_tree.choices; leakage } = Gate_tree.all_fast lib net states in
+  ({ State_tree.vector = Array.copy vector; choices; leakage }, values, states)
 
 (* Per kind and version: the worst delay-derating factor over pins and
    transitions.  Pin permutations only reorder factors, so the maximum
@@ -130,35 +116,23 @@ let run ?candidates ?(on_incumbent = fun _ -> ()) ?(interrupt = fun () -> false)
  Telemetry.span "greedy.run" (fun () ->
   let net = Sta.netlist sta in
   let n = Netlist.node_count net in
-  (* Seed: scan the candidate sleep vectors and keep the one with the
-     smallest unconstrained leakage bound. *)
-  let vector, _, states = seed_scan ?candidates ~stats lib net in
-  (* Start from the all-fast assignment for that vector: always
+  let start, _, states = seed ?candidates ~stats lib net in
+  let vector = start.State_tree.vector and choices = start.State_tree.choices in
+  (* Start from the all-fast assignment for the seed vector: always
      delay-feasible (the budget is at least the all-fast delay), so the
      anytime contract holds from the first incumbent on. *)
   Sta.reset_fast sta;
-  let choices = Array.make n 0 in
-  let total = ref 0.0 in
-  Netlist.iter_gates net (fun id kind _ ->
-      let state = states.(id) in
-      let c = Library.fast_option_index lib kind ~state in
-      choices.(id) <- c;
-      total := !total +. (Library.options lib kind ~state).(c).Version.leakage);
   let last_emitted = ref infinity in
-  let emit () =
-    if !total < !last_emitted -. 1e-18 then begin
-      last_emitted := !total;
+  let emit leakage =
+    if leakage < !last_emitted -. 1e-18 then begin
+      last_emitted := leakage;
       stats.Search_stats.leaves <- stats.Search_stats.leaves + 1;
       stats.Search_stats.incumbent_updates <- stats.Search_stats.incumbent_updates + 1;
       on_incumbent
-        {
-          State_tree.vector = Array.copy vector;
-          choices = Array.copy choices;
-          leakage = !total;
-        }
+        { State_tree.vector = Array.copy vector; choices = Array.copy choices; leakage }
     end
   in
-  emit ();
+  emit start.State_tree.leakage;
   (* One sort: every gate that can step down and has slack to spend,
      scored on the all-fast workspace by the sensitivity of its first
      step, highest first and ties by id. *)
@@ -180,35 +154,27 @@ let run ?candidates ?(on_incumbent = fun _ -> ()) ?(interrupt = fun () -> false)
   Array.sort
     (fun a b -> match Float.compare score.(b) score.(a) with 0 -> Int.compare a b | o -> o)
     order;
-  (* One pass: each gate in turn takes the gate tree's step, settling
-     on the cheapest option that keeps every path inside the budget. *)
+  (* One pass of the gate tree's step in that order, stopped at a gate
+     boundary by the timer or the caller's interrupt. *)
   let swaps = ref 0 and backoffs = ref 0 and pops = ref 0 in
   let stop_reason = ref State_tree.Exhausted in
-  while !stop_reason = State_tree.Exhausted && !pops < !m do
-    if !pops land 31 = 0 then
-      if Timer.expired timer then stop_reason := State_tree.Timed_out
-      else if interrupt () then stop_reason := State_tree.Interrupted;
-    if !stop_reason = State_tree.Exhausted then begin
-      let id = order.(!pops) in
-      incr pops;
-      match Netlist.kind_of net id with
-      | None -> ()
-      | Some kind ->
-        let state = states.(id) in
-        let c = choices.(id) in
-        let i = Gate_tree.lowest_feasible ~stats lib sta id kind ~state in
-        (* Every option below the one left installed was rejected. *)
-        backoffs := !backoffs + i;
-        if i <> c then begin
-          let options = Library.options lib kind ~state in
-          choices.(id) <- i;
-          total := !total -. (options.(c).Version.leakage -. options.(i).Version.leakage);
-          incr swaps;
-          if !swaps land 8191 = 0 then emit ()
-        end
+  let stop () =
+    if Timer.expired timer then stop_reason := State_tree.Timed_out
+    else if interrupt () then stop_reason := State_tree.Interrupted;
+    !stop_reason <> State_tree.Exhausted
+  in
+  let on_step c i leakage =
+    incr pops;
+    (* Every option below the one left installed was rejected. *)
+    backoffs := !backoffs + i;
+    if i <> c then begin
+      incr swaps;
+      if !swaps land 8191 = 0 then emit leakage
     end
-  done;
-  emit ();
+  in
+  let start = { Gate_tree.choices; leakage = start.State_tree.leakage } in
+  let total = (Gate_tree.pass ~on_step ~stop ~stats lib sta ~states start order).leakage in
+  emit total;
   Metrics.add m_swaps !swaps;
   Metrics.add m_backoffs !backoffs;
   Metrics.add m_heap_pops !pops;
@@ -218,10 +184,7 @@ let run ?candidates ?(on_incumbent = fun _ -> ()) ?(interrupt = fun () -> false)
       ("swaps", Json.Int !swaps);
       ("backoffs", Json.Int !backoffs);
       ("heap_pops", Json.Int !pops);
-      ("leakage", Json.Float !total);
+      ("leakage", Json.Float total);
       ("stop", Json.String (State_tree.stop_reason_name !stop_reason));
     ];
-  {
-    State_tree.best = { State_tree.vector; choices; leakage = !total };
-    stop_reason = !stop_reason;
-  })
+  { State_tree.best = { State_tree.vector; choices; leakage = total }; stop_reason = !stop_reason })

@@ -5,19 +5,18 @@ module Timer = Standby_util.Timer
 module Telemetry = Standby_telemetry.Telemetry
 module Json = Standby_telemetry.Json
 
-let evaluate ~order ~stats lib sta vector =
+let evaluate ~stats ~timer lib sta vector =
   let net = Sta.netlist sta in
   let values = Simulator.eval net vector in
   let states = Simulator.gate_states net values in
-  let result = Gate_tree.greedy ~order ~stats lib sta ~states in
+  let result = Gate_tree.greedy ~stop:(fun () -> Timer.expired timer) ~stats lib sta ~states in
   {
     State_tree.vector = Array.copy vector;
     State_tree.choices = result.Gate_tree.choices;
     State_tree.leakage = result.Gate_tree.leakage;
   }
 
-let hill_climb ?(max_rounds = 8) ?(order = Gate_tree.By_saving) ~stats ~timer lib sta
-    ~start =
+let hill_climb ?(max_rounds = 8) ~stats ~timer lib sta ~start =
  Telemetry.span "refine.hill_climb"
    ~fields:[ ("max_rounds", Json.Int max_rounds) ]
    (fun () ->
@@ -38,7 +37,7 @@ let hill_climb ?(max_rounds = 8) ?(order = Gate_tree.By_saving) ~stats ~timer li
       (fun position ->
         if not (Timer.expired timer) then begin
           vector.(position) <- not vector.(position);
-          let candidate = evaluate ~order ~stats lib sta vector in
+          let candidate = evaluate ~stats ~timer lib sta vector in
           stats.Search_stats.leaves <- stats.Search_stats.leaves + 1;
           if candidate.State_tree.leakage < !best.State_tree.leakage -. 1e-18 then begin
             best := candidate;

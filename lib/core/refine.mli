@@ -2,9 +2,11 @@
 
     Bit-flip hill climbing on the input vector: each round tries
     flipping every primary input (most influential first), re-running
-    the gate-tree search for the flipped state, and keeps any strict
-    improvement.  Rounds repeat until a full pass yields no improvement,
-    the round limit is hit, or the time budget expires.
+    the gate-tree pass ({!Gate_tree.greedy}) for the flipped state, and
+    keeps any strict improvement.  Rounds repeat until a full scan
+    yields no improvement, the round limit is hit, or the time budget
+    expires; the timer also stops the pass inside a flip, whose partial
+    (still feasible) answer is kept only if it improves.
 
     This is an extension beyond the paper's two heuristics: it converges
     to a 1-flip-optimal sleep state and typically recovers most of the
@@ -13,7 +15,6 @@
 
 val hill_climb :
   ?max_rounds:int ->
-  ?order:Gate_tree.order ->
   stats:Search_stats.t ->
   timer:Standby_util.Timer.t ->
   Standby_cells.Library.t ->

@@ -19,19 +19,6 @@ let name = function
   | Aoi21 -> "AOI21"
   | Oai21 -> "OAI21"
 
-let of_name s =
-  match String.uppercase_ascii s with
-  | "INV" | "NOT" -> Some Inv
-  | "NAND2" -> Some Nand2
-  | "NAND3" -> Some Nand3
-  | "NAND4" -> Some Nand4
-  | "NOR2" -> Some Nor2
-  | "NOR3" -> Some Nor3
-  | "NOR4" -> Some Nor4
-  | "AOI21" -> Some Aoi21
-  | "OAI21" -> Some Oai21
-  | _ -> None
-
 let eval kind inputs =
   if Array.length inputs <> arity kind then
     invalid_arg "Gate_kind.eval: wrong input count";

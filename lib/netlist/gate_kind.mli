@@ -19,9 +19,6 @@ val arity : t -> int
 val name : t -> string
 (** Canonical upper-case name, e.g. ["NAND2"]. *)
 
-val of_name : string -> t option
-(** Inverse of {!name}; case-insensitive. *)
-
 val eval : t -> bool array -> bool
 (** Boolean function of the cell: AOI21 computes [not (i0*i1 + i2)],
     OAI21 computes [not ((i0+i1) * i2)].  @raise Invalid_argument if the

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 output function (Steele, Lea, Flood 2014). *)
 let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -22,10 +20,6 @@ let next_int64 t =
 let nth_bits ~seed n =
   Int64.to_int (mix (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (n + 1)) golden_gamma)))
 
-let split t =
-  let s = next_int64 t in
-  { state = mix s }
-
 let int t ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit signed int. *)
@@ -34,11 +28,6 @@ let int t ~bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let float t ~bound =
-  (* 53 high bits give a uniform double in [0,1). *)
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits /. 9007199254740992.0 *. bound
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t ~bound:(i + 1) in
@@ -46,7 +35,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
-  a.(int t ~bound:(Array.length a))

@@ -13,14 +13,6 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
-val split : t -> t
-(** [split t] derives a new generator from [t], advancing [t]; the two
-    streams are statistically independent.  Used to give each subtask its
-    own stream without sharing state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -36,11 +28,5 @@ val int : t -> bound:int -> int
 val bool : t -> bool
 (** Uniform boolean. *)
 
-val float : t -> bound:float -> float
-(** [float t ~bound] is uniform in [\[0, bound)]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly chosen element.  @raise Invalid_argument on empty array. *)

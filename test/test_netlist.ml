@@ -60,17 +60,6 @@ let test_state_msb_convention () =
   check Alcotest.bool "i1 of 10" true bits.(0);
   check Alcotest.bool "i2 of 10" false bits.(1)
 
-let test_of_name () =
-  let kind_t =
-    Alcotest.testable (fun ppf k -> Format.pp_print_string ppf (Gate_kind.name k)) ( = )
-  in
-  List.iter
-    (fun kind ->
-      check (Alcotest.option kind_t) (Gate_kind.name kind) (Some kind)
-        (Gate_kind.of_name (Gate_kind.name kind)))
-    Gate_kind.all;
-  check (Alcotest.option kind_t) "unknown" None (Gate_kind.of_name "XOR9")
-
 (* ----------------------------- Builder ---------------------------- *)
 
 let tiny_netlist () =
@@ -834,7 +823,6 @@ let () =
           quick "arity mismatch" test_eval_arity_mismatch;
           QCheck_alcotest.to_alcotest test_state_roundtrip;
           quick "msb convention" test_state_msb_convention;
-          quick "of_name" test_of_name;
         ] );
       ( "builder",
         [

@@ -555,7 +555,24 @@ let test_degraded_flag () =
   check Alcotest.bool "no deadline, not degraded" false full.Optimizer.degraded;
   (* A generous deadline that the method beats on its own is not a cut. *)
   let easy = Optimizer.run ~deadline_s:3600.0 lib net ~penalty:0.1 Optimizer.Heuristic_1 in
-  check Alcotest.bool "unexercised deadline, not degraded" false easy.Optimizer.degraded
+  check Alcotest.bool "unexercised deadline, not degraded" false easy.Optimizer.degraded;
+  (* Heuristic 1 is one descent and one gate-tree pass: the pass polls
+     the deadline and the interrupt too, so a zero deadline leaves every
+     gate fast. *)
+  let five_k =
+    Standby_circuits.Random_logic.generate ~seed:11 ~inputs:50 ~gates:5000 ~window:250 ()
+  in
+  let cut = Optimizer.run ~deadline_s:0.0 lib five_k ~penalty:0.1 Optimizer.Heuristic_1 in
+  check Alcotest.bool "heu1 deadline cut marks the result degraded" true cut.Optimizer.degraded;
+  check Alcotest.bool "heu1 cut stays delay-feasible" true
+    (cut.Optimizer.delay <= cut.Optimizer.budget);
+  check Alcotest.int "heu1 cut before any swap" 0
+    cut.Optimizer.stats.Standby_opt.Search_stats.gate_changes;
+  let cancelled =
+    Optimizer.run ~interrupt:(fun () -> true) lib five_k ~penalty:0.1 Optimizer.Heuristic_1
+  in
+  check Alcotest.bool "heu1 interrupt marks the result degraded" true
+    cancelled.Optimizer.degraded
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                               *)

@@ -24,22 +24,6 @@ let test_prng_seed_sensitivity () =
   done;
   check Alcotest.bool "different seeds differ" true !differs
 
-let test_prng_copy_independent () =
-  let a = Prng.create ~seed:7 in
-  ignore (Prng.next_int64 a);
-  let b = Prng.copy a in
-  check Alcotest.int64 "copy continues identically" (Prng.next_int64 a) (Prng.next_int64 b);
-  ignore (Prng.next_int64 a);
-  (* advancing a does not advance b *)
-  let a2 = Prng.next_int64 a and b2 = Prng.next_int64 b in
-  check Alcotest.bool "streams diverge after extra draw" true (a2 <> b2)
-
-let test_prng_split () =
-  let a = Prng.create ~seed:3 in
-  let b = Prng.split a in
-  let xa = Prng.next_int64 a and xb = Prng.next_int64 b in
-  check Alcotest.bool "split streams differ" true (xa <> xb)
-
 let test_prng_nth_bits () =
   (* The stateless draw is the stream's own draw, without allocating. *)
   List.iter
@@ -68,13 +52,6 @@ let test_prng_int_invalid () =
   let rng = Prng.create ~seed:5 in
   Alcotest.check_raises "zero bound" (Invalid_argument "Prng.int: bound must be positive")
     (fun () -> ignore (Prng.int rng ~bound:0))
-
-let test_prng_float_bounds () =
-  let rng = Prng.create ~seed:11 in
-  for _ = 1 to 10_000 do
-    let v = Prng.float rng ~bound:2.5 in
-    if v < 0.0 || v >= 2.5 then Alcotest.failf "out of range: %f" v
-  done
 
 let test_prng_bool_balance () =
   let rng = Prng.create ~seed:13 in
@@ -111,16 +88,6 @@ let test_shuffle_permutation () =
     (Array.init 50 (fun i -> i))
     sorted
 
-let test_pick_member () =
-  let rng = Prng.create ~seed:29 in
-  let a = [| 3; 5; 8 |] in
-  for _ = 1 to 100 do
-    let v = Prng.pick rng a in
-    check Alcotest.bool "pick returns a member" true (Array.exists (( = ) v) a)
-  done;
-  Alcotest.check_raises "empty pick" (Invalid_argument "Prng.pick: empty array") (fun () ->
-      ignore (Prng.pick rng [||]))
-
 (* ------------------------------- Stats ---------------------------- *)
 
 let test_geometric_mean () =
@@ -152,16 +119,12 @@ let () =
         [
           quick "deterministic" test_prng_deterministic;
           quick "seed sensitivity" test_prng_seed_sensitivity;
-          quick "copy" test_prng_copy_independent;
-          quick "split" test_prng_split;
           quick "nth bits" test_prng_nth_bits;
           quick "int bounds" test_prng_int_bounds;
           quick "int invalid" test_prng_int_invalid;
-          quick "float bounds" test_prng_float_bounds;
           quick "bool balance" test_prng_bool_balance;
           quick "int uniformity" test_prng_int_uniformity;
           quick "shuffle permutation" test_shuffle_permutation;
-          quick "pick member" test_pick_member;
         ] );
       ( "stats",
         [
