@@ -97,16 +97,19 @@ val run :
     [deadline_s] imposes a wall-clock ceiling on top of the method's own
     stopping rule (Heuristic 2's budget, exact exhaustion): the search
     is cooperatively cancelled once it expires, the best incumbent found
-    so far is returned, and the result is marked {!field-degraded}.  At
-    least one full descent always completes, so even a zero deadline
-    yields a valid, delay-feasible assignment.  [on_incumbent] is
-    forwarded to {!State_tree.search}.
+    so far is returned, and the result is marked {!field-degraded}.  The
+    first state-tree descent always reaches its leaf, but the deadline
+    also reaches inside that leaf's gate-tree pass, which stops within 32
+    gates and leaves the gates it did not reach fast: even a zero
+    deadline yields a valid, delay-feasible assignment, possibly close
+    to all-fast.  [on_incumbent] is forwarded to {!State_tree.search}.
 
-    [interrupt] is polled cooperatively at every search node for
-    external cancellation (e.g. a serving client that disconnected).  A
-    true poll stops the search after the current descent; the result is
-    marked {!field-degraded} and the hill-climbing refinement step is
-    skipped.  Must be safe to call from any domain when [jobs > 1].
+    [interrupt] is polled cooperatively at every search node and every
+    32 gates of a gate-tree pass for external cancellation (e.g. a
+    serving client that disconnected).  A true poll stops the search the
+    same way as the deadline; the result is marked {!field-degraded} and
+    the hill-climbing refinement step is skipped.  Must be safe to call
+    from any domain when [jobs > 1].
 
     [jobs] (default 1) runs the state search on that many worker domains
     via {!State_tree.search_parallel}, or — for

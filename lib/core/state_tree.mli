@@ -32,7 +32,7 @@ type leaf = {
 type stop_reason =
   | Exhausted  (** The whole tree was explored (or pruned away). *)
   | Leaf_limit  (** [max_leaves] descents completed (Heuristic 1). *)
-  | Timed_out  (** The timer expired (Heuristic 2 budget or deadline). *)
+  | Timed_out  (** [timer] (Heuristic 2's budget) or [deadline] expired. *)
   | Interrupted  (** The [interrupt] callback requested a stop. *)
 
 val stop_reason_name : stop_reason -> string
@@ -52,18 +52,25 @@ val search :
   ?interrupt:(unit -> bool) ->
   stats:Search_stats.t ->
   timer:Standby_util.Timer.t ->
+  deadline:Standby_util.Timer.t ->
   max_leaves:int option ->
   exact_gate_tree:bool ->
   Bound.t ->
   Standby_cells.Library.t ->
   Standby_timing.Sta.t ->
   outcome
-(** Best leaf found.  At least one full descent always completes, even
-    on an expired timer or a true [interrupt], so a solution is
-    guaranteed.  [on_incumbent] fires every time a descent improves on
-    the best leaf so far (including the first), letting callers snapshot
-    the incumbent for deadline-degraded results; [interrupt] is polled
-    at every node and leaf boundary for cooperative cancellation. *)
+(** Best leaf found.  [timer] is the method's own budget, [deadline] an
+    external one; both, [max_leaves] and [interrupt] are polled at every
+    node and leaf boundary.  The first descent always reaches its leaf,
+    so a solution is guaranteed.  Only [deadline] and [interrupt] reach
+    inside a leaf's gate tree: the {!Gate_tree.pass} stops within 32
+    gates, leaving the gates it did not reach fast (the exact gate tree
+    keeps its best complete assignment, or falls back to that pass).
+    [timer] never cuts a leaf short,
+    so the first leaf of Heuristic 2 is always Heuristic 1's.
+    [on_incumbent] fires every time a descent improves on the best leaf
+    so far (including the first), letting callers snapshot the incumbent
+    for deadline-degraded results. *)
 
 val search_parallel :
   ?config:config ->
@@ -72,6 +79,7 @@ val search_parallel :
   jobs:int ->
   stats:Search_stats.t ->
   timer:Standby_util.Timer.t ->
+  deadline:Standby_util.Timer.t ->
   max_leaves:int option ->
   exact_gate_tree:bool ->
   Bound.t ->
